@@ -11,6 +11,7 @@ the hypothesis is rejected when the observed statistic strictly exceeds it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,42 @@ def critical_rank(B: int, alpha: float) -> int:
     return math.ceil((1.0 - alpha) * B)
 
 
+def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
+                         stream: Callable[[int], RngStream]):
+    """The parametric bootstrap loop behind bootstrap_test and the power study.
+
+    Fits ``x`` and evaluates every statistic on it; replicate j = 1..B is
+    drawn from the fitted law on ``stream(j)``, re-fitted, and gives one row
+    of ``boot`` holding every statistic.  A replicate whose re-fit or any
+    statistic fails is dropped whole.  Returns (fit, observed, boot, failed);
+    raises BootstrapError if the observed fit does not converge or more than
+    5% of the replicates fail.
+    """
+    fit = fit_family_retry(family, x)
+    if not fit.converged:
+        raise BootstrapError(f"fit of the observed sample did not converge: {fit.message}")
+    observed = np.array([evaluate_statistic(family, stat, x, fit) for stat in stats])
+    fitted = fitted_distribution(family, fit)
+
+    boot = np.empty((B, len(stats)))
+    kept = 0
+    for j in range(1, B + 1):
+        xb = sample(fitted, x.size, stream(j)).values
+        try:
+            fb = fit_family_retry(family, xb)
+            if not fb.converged:
+                raise FitError(fb.message)
+            boot[kept] = [evaluate_statistic(family, stat, xb, fb) for stat in stats]
+        except (FitError, ValueError, FloatingPointError):
+            continue
+        kept += 1
+    failed = B - kept
+    if failed > MAX_FAILURE_FRACTION * B:
+        raise BootstrapError(
+            f"{failed}/{B} bootstrap replicates failed to fit (family={family}, n={x.size})")
+    return fit, observed, boot[:kept], failed
+
+
 def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
                    alpha: float = 0.1, rng: RngStream = RngStream(0)) -> TestOutcome:
     """Run the parametric bootstrap test; deterministic for a fixed stream.
@@ -167,36 +204,18 @@ def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     x = as_values(s)
-    fit = fit_family_retry(family, x)
-    if not fit.converged:
-        raise BootstrapError(f"fit of the observed sample did not converge: {fit.message}")
+    fit, observed, boot, failed = bootstrap_replicates(
+        x, family, [stat], B, lambda j: rng.child("rep", j))
+    observed = float(observed[0])
 
-    observed = evaluate_statistic(family, stat, x, fit)
-    fitted = fitted_distribution(family, fit)
-
-    boot_vals = []
-    failed = 0
-    for j in range(1, B + 1):
-        xb = sample(fitted, x.size, rng.child("rep", j)).values
-        try:
-            fb = fit_family_retry(family, xb)
-            if not fb.converged:
-                raise FitError(fb.message)
-            boot_vals.append(evaluate_statistic(family, stat, xb, fb))
-        except (FitError, ValueError, FloatingPointError):
-            failed += 1
-    if failed > MAX_FAILURE_FRACTION * B:
-        raise BootstrapError(
-            f"{failed}/{B} bootstrap replicates failed to fit (family={family}, n={x.size})")
-
-    vals = np.sort(np.asarray(boot_vals))
+    vals = np.sort(boot[:, 0])
     b_eff = vals.size
     crit = float(vals[critical_rank(b_eff, alpha) - 1])
     p_value = float((1 + np.sum(vals >= observed)) / (b_eff + 1))
     return TestOutcome(
         family=family,
         statistic=stat.label,
-        statistic_value=float(observed),
+        statistic_value=observed,
         critical_value=crit,
         p_value=p_value,
         reject=bool(observed > crit),

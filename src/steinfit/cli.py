@@ -21,11 +21,11 @@ import math
 import os
 import sys
 
-from .bootstrap import BootstrapError, bootstrap_test
+from .bootstrap import FAMILIES, BootstrapError, bootstrap_test
 from .characterization import QuadratureError, check_conditions, default_operator, fixed_point_residual
 from .distributions import DomainError, ParameterError, RngStream, make_distribution
 from .estimation import FitError
-from .gof import StatisticId
+from .gof import STAT_NAMES, StatisticId
 from .simulation import ConfigError, config_from_dict, config_hash, render_table, run_power_study
 
 EXIT_OK = 0
@@ -146,8 +146,7 @@ def _cmd_test(args) -> int:
         print("error: data contains non-finite values", file=sys.stderr)
         return EXIT_INPUT
 
-    tag = {"B": "burr_B", "L2": "generic_L2", "ks": "ks", "cvm": "cvm",
-           "ad": "ad", "watson": "watson"}.get(args.stat)
+    tag = STAT_NAMES[args.stat]
     try:
         stat = StatisticId(tag, a=args.a if tag in ("burr_B", "generic_L2") else None)
     except ValueError as exc:
@@ -255,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="bootstrap goodness-of-fit test on a data file")
     p_test.add_argument("--data", required=True, help="newline-delimited reals (one per line)")
-    p_test.add_argument("--family", required=True, choices=("burr", "gamma", "normal"))
-    p_test.add_argument("--stat", required=True,
-                        choices=("B", "L2", "ks", "cvm", "ad", "watson"))
+    p_test.add_argument("--family", required=True, choices=FAMILIES)
+    p_test.add_argument("--stat", required=True, choices=tuple(STAT_NAMES))
     p_test.add_argument("--a", type=float, default=3.0,
                         help="weight tuning parameter for B/L2 statistics (default 3)")
     p_test.add_argument("--B", type=int, default=100, help="bootstrap replicates (default 100)")

@@ -23,7 +23,10 @@ from scipy import special as sp
 
 from .distributions import as_values
 
-STAT_TAGS = ("burr_B", "generic_L2", "ks", "cvm", "ad", "watson")
+# config / CLI name -> statistic tag
+STAT_NAMES = {"B": "burr_B", "L2": "generic_L2", "ks": "ks", "cvm": "cvm",
+              "ad": "ad", "watson": "watson"}
+STAT_TAGS = tuple(STAT_NAMES.values())
 
 AD_CLAMP = 1e-15  # fitted CDF values are clamped to [AD_CLAMP, 1 - AD_CLAMP]
 
@@ -127,15 +130,13 @@ def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
     return float(off + diag + single)
 
 
-def burr_B_quadrature(s, k_hat: float, c_hat: float, a: float,
-                      quad_tol: float | None = None) -> float:
+def burr_B_quadrature(s, k_hat: float, c_hat: float, a: float) -> float:
     """Oracle evaluation of B_{n,a} by exact piecewise integration.
 
     Between consecutive order statistics the deviation T_n - F_n is linear
     in t, so every piece of |T_n - F_n|^2 exp(-a t) integrates in closed
     form (incomplete-gamma moments); the only error is floating-point
-    accumulation.  ``quad_tol`` is accepted for interface symmetry but the
-    computation is exact, not adaptive.
+    accumulation.
     """
     x = np.sort(as_values(s))
     n = x.size

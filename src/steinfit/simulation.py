@@ -5,7 +5,9 @@ bootstrap test for every statistic, and tallies rejection rates.  By
 default all statistics share one fit and one set of bootstrap draws per
 replicate (each statistic still ranks its own bootstrap distribution),
 which cuts the cost by the number of statistics; ``share_bootstrap=False``
-gives every statistic its own independent bootstrap instead.
+gives every statistic its own independent bootstrap instead.  Both modes
+run the one replicate loop, ``bootstrap.bootstrap_replicates``, which drops
+a bootstrap replicate whole when its re-fit or any statistic fails.
 
 Every random draw is keyed by (master seed, alternative label, replicate
 index), so reports are bit-identical regardless of worker count or of which
@@ -23,15 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bootstrap import (
+    FAMILIES,
+    BootstrapError,
+    bootstrap_replicates,
     bootstrap_test,
     critical_rank,
-    evaluate_statistic,
-    fit_family_retry,
-    fitted_distribution,
 )
+# unused here, but bench/tracer.py wraps these names in this module's namespace
+from .bootstrap import evaluate_statistic, fit_family_retry, fitted_distribution  # noqa: F401
 from .distributions import DistributionSpec, ParameterError, RngStream, make_distribution, sample
 from .estimation import FitError
-from .gof import StatisticId
+from .gof import STAT_NAMES, StatisticId
 
 MAX_CELL_FAILURE_FRACTION = 0.05
 
@@ -78,10 +82,6 @@ class PowerStudyConfig:
         return self
 
 
-_STAT_NAMES = {"B": "burr_B", "L2": "generic_L2", "ks": "ks", "cvm": "cvm",
-               "ad": "ad", "watson": "watson"}
-
-
 def config_from_dict(doc: dict) -> PowerStudyConfig:
     """Build a validated config from the JSON document schema.
 
@@ -115,10 +115,10 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
             if not isinstance(entry, dict) or "stat" not in entry:
                 raise ValueError("expected an object with a 'stat' key")
             name = entry["stat"]
-            if name not in _STAT_NAMES:
+            if name not in STAT_NAMES:
                 raise ValueError(f"unknown statistic tag {name!r}; valid tags: "
-                                 f"{', '.join(sorted(_STAT_NAMES))}")
-            stats.append(StatisticId(_STAT_NAMES[name], a=entry.get("a"),
+                                 f"{', '.join(sorted(STAT_NAMES))}")
+            stats.append(StatisticId(STAT_NAMES[name], a=entry.get("a"),
                                      sqrt_n=bool(entry.get("sqrt_n", False))))
         except ValueError as exc:
             problems.append(f"statistics[{i}]: {exc}")
@@ -138,8 +138,8 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
         problems.append("alternatives: must be non-empty")
 
     family = doc.get("family", "burr")
-    if family not in ("burr", "gamma", "normal"):
-        problems.append(f"family: expected one of burr/gamma/normal, got {family!r}")
+    if family not in FAMILIES:
+        problems.append(f"family: expected one of {'/'.join(FAMILIES)}, got {family!r}")
 
     share = doc.get("share_bootstrap", True)
     if not isinstance(share, bool):
@@ -161,7 +161,7 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
 def config_to_dict(cfg: PowerStudyConfig) -> dict:
     stats = []
     for s in cfg.statistics:
-        entry = {"stat": {v: k for k, v in _STAT_NAMES.items()}[s.tag]}
+        entry = {"stat": {v: k for k, v in STAT_NAMES.items()}[s.tag]}
         if s.a is not None:
             entry["a"] = s.a
         if s.sqrt_n:
@@ -239,49 +239,17 @@ def _run_one_replicate(cfg: PowerStudyConfig, alt_label: str, alt: DistributionS
     when the replicate failed (fit breakdown past the retry)."""
     root = RngStream(cfg.seed).child("alt", alt_label, "rep", rep)
     x = sample(alt, cfg.n, root.child("data")).values
-
-    if not cfg.share_bootstrap:
-        out = {}
-        for stat in cfg.statistics:
-            try:
-                outcome = bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,
-                                         root.child("stat", stat.label))
-                out[stat.label] = outcome.reject
-            except Exception:
-                return None
-        return out
-
     try:
-        fit = fit_family_retry(cfg.family, x)
-        if not fit.converged:
-            return None
-        observed = [evaluate_statistic(cfg.family, stat, x, fit) for stat in cfg.statistics]
-    except (FitError, ValueError, FloatingPointError):
+        if not cfg.share_bootstrap:
+            return {stat.label: bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,
+                                               root.child("stat", stat.label)).reject
+                    for stat in cfg.statistics}
+        _, observed, boot, _ = bootstrap_replicates(
+            x, cfg.family, cfg.statistics, cfg.bootstrap_B, lambda b: root.child("boot", b))
+    except (BootstrapError, FitError, ValueError, FloatingPointError):
         return None
-
-    fitted = fitted_distribution(cfg.family, fit)
-    boot = [[] for _ in cfg.statistics]
-    failed = 0
-    for b in range(1, cfg.bootstrap_B + 1):
-        xb = sample(fitted, cfg.n, root.child("boot", b)).values
-        try:
-            fb = fit_family_retry(cfg.family, xb)
-            if not fb.converged:
-                raise FitError(fb.message)
-            for idx, stat in enumerate(cfg.statistics):
-                boot[idx].append(evaluate_statistic(cfg.family, stat, xb, fb))
-        except (FitError, ValueError, FloatingPointError):
-            failed += 1
-    if failed > MAX_CELL_FAILURE_FRACTION * cfg.bootstrap_B:
-        return None
-
-    out = {}
-    b_eff = cfg.bootstrap_B - failed
-    rank = critical_rank(b_eff, cfg.alpha)
-    for idx, stat in enumerate(cfg.statistics):
-        vals = np.sort(np.asarray(boot[idx]))
-        out[stat.label] = bool(observed[idx] > vals[rank - 1])
-    return out
+    crit = np.sort(boot, axis=0)[critical_rank(boot.shape[0], cfg.alpha) - 1]
+    return {stat.label: bool(obs > c) for stat, obs, c in zip(cfg.statistics, observed, crit)}
 
 
 def _run_chunk(args):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steinfit.bootstrap import (
+    bootstrap_replicates,
     bootstrap_test,
     critical_rank,
     evaluate_statistic,
@@ -124,3 +125,42 @@ def test_parameter_validation():
         bootstrap_test(x, "burr", StatisticId("cvm"), B=0, alpha=0.1, rng=RngStream(1))
     with pytest.raises(ValueError):
         bootstrap_test(x, "burr", StatisticId("cvm"), B=10, alpha=1.5, rng=RngStream(1))
+
+
+def test_replicate_dropped_whole_when_a_later_statistic_fails(monkeypatch):
+    import steinfit.bootstrap as bs
+    x = burr_data(n=40, seed=17)
+    stats = [StatisticId("burr_B", a=3.0), StatisticId("ks")]
+    B = 20
+    stream = lambda j: RngStream(8).child("rep", j)
+    _, _, full, failed = bootstrap_replicates(x, "burr", stats, B, stream)
+    assert full.shape == (B, 2) and failed == 0
+
+    orig = bs.evaluate_statistic
+    calls = {"ks": 0}
+
+    def flaky(family, stat, data, fit):
+        if stat.tag == "ks":
+            calls["ks"] += 1
+            if calls["ks"] == 4:  # observed sample, then replicates 1, 2, 3
+                raise ValueError("injected failure")
+        return orig(family, stat, data, fit)
+
+    monkeypatch.setattr(bs, "evaluate_statistic", flaky)
+    _, _, boot, failed = bootstrap_replicates(x, "burr", stats, B, stream)
+    assert boot.shape == (B - 1, 2)
+    assert failed == 1
+    # the B_3 value of replicate 3 went out with its row
+    assert np.array_equal(boot, np.delete(full, 2, axis=0))
+
+
+def test_shared_draws_leave_each_statistic_unchanged():
+    x = burr_data(n=40, seed=19)
+    stream = lambda j: RngStream(9).child("boot", j)
+    b3 = StatisticId("burr_B", a=3.0)
+    _, obs_pair, pair, failed_pair = bootstrap_replicates(
+        x, "burr", [b3, StatisticId("ks")], 25, stream)
+    _, obs_one, one, failed_one = bootstrap_replicates(x, "burr", [b3], 25, stream)
+    assert failed_pair == failed_one
+    assert obs_pair[0] == obs_one[0]
+    assert np.array_equal(pair[:, 0], one[:, 0])

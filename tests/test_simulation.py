@@ -152,3 +152,15 @@ def test_config_json_serializable():
     doc = config_to_dict(cfg)
     json.dumps(doc)
     assert config_from_dict(doc).statistics == cfg.statistics
+
+
+@pytest.mark.parametrize("share", [False, True])
+def test_programming_errors_are_not_counted_as_failed_replicates(monkeypatch, share):
+    import steinfit.bootstrap as bs
+
+    def broken(family, stat, data, fit):
+        raise ZeroDivisionError("a bug, not a failed fit")
+
+    monkeypatch.setattr(bs, "evaluate_statistic", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_power_study(small_config(mc_reps=1, share_bootstrap=share), workers=1)
