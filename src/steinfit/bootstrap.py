@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gof
-from .characterization import empirical_T_min, empirical_T_zero_bias
+# unused here; bench/tracer.py looks both up in this module's namespace
+from .characterization import empirical_T_min, empirical_T_zero_bias  # noqa: F401
 from .distributions import (
     DistributionSpec,
     RngStream,
@@ -115,22 +116,19 @@ def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> flo
 
     if stat.tag == "generic_L2":
         if family == "burr":
-            dist = fitted_distribution(family, fit)
-            Tn = lambda t: empirical_T_min(x, lambda v: score(dist, v), t, 0.0)
-            return gof.generic_L2(Tn, x, stat.a, left=0.0)
-        if family == "gamma":
+            pieces = gof.min_pieces(x, gof.burr_coefficients(x, fit.params["k"], fit.params["c"])[0])
+        elif family == "gamma":
             y = x / fit.params["lam"]
             unit = make_distribution("gamma", k=fit.params["k"], lam=1.0)
-            Tn = lambda t: empirical_T_min(y, lambda v: score(unit, v), t, 0.0)
-            return gof.generic_L2(Tn, y, stat.a, left=0.0)
-        if family == "normal":
+            pieces = gof.min_pieces(y, -score(unit, y))
+        elif family == "normal":
             sd = math.sqrt(fit.params["sigma2"])
             if sd == 0.0:
                 raise FitError("zero variance: cannot standardize")
-            y = (x - fit.params["mu"]) / sd
-            Tn = lambda t: empirical_T_zero_bias(y, t, 1.0)
-            return gof.generic_L2(Tn, y, stat.a, left=-math.inf)
-        raise ValueError(f"unknown hypothesis family '{family}'")
+            pieces = gof.zero_bias_pieces((x - fit.params["mu"]) / sd)
+        else:
+            raise ValueError(f"unknown hypothesis family '{family}'")
+        return gof.generic_L2(*pieces, stat.a, x.size)
 
     fitted = fitted_distribution(family, fit)
     F = lambda v: cdf(fitted, v)
@@ -161,14 +159,16 @@ def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
     Fits ``x`` and evaluates every statistic on it; replicate j = 1..B is
     drawn from the fitted law on ``stream(j)``, re-fitted, and gives one row
     of ``boot`` holding every statistic.  A replicate whose re-fit or any
-    statistic fails is dropped whole.  Returns (fit, observed, boot, failed);
-    raises BootstrapError if the observed fit does not converge or more than
-    5% of the replicates fail.
+    statistic fails or is not finite is dropped whole.  Returns (fit,
+    observed, boot, failed); raises BootstrapError if the observed fit does
+    not converge, a statistic on it is not finite, or over 5% of replicates fail.
     """
     fit = fit_family_retry(family, x)
     if not fit.converged:
         raise BootstrapError(f"fit of the observed sample did not converge: {fit.message}")
     observed = np.array([evaluate_statistic(family, stat, x, fit) for stat in stats])
+    if not np.all(np.isfinite(observed)):
+        raise BootstrapError(f"non-finite statistic on the observed sample: {observed}")
     fitted = fitted_distribution(family, fit)
 
     boot = np.empty((B, len(stats)))
@@ -180,6 +180,8 @@ def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
             if not fb.converged:
                 raise FitError(fb.message)
             boot[kept] = [evaluate_statistic(family, stat, xb, fb) for stat in stats]
+            if not np.all(np.isfinite(boot[kept])):
+                raise FloatingPointError("non-finite statistic")
         except (FitError, ValueError, FloatingPointError):
             continue
         kept += 1

@@ -5,10 +5,10 @@ characterization operator and the empirical CDF,
 
     B_{n,a} = n * integral_0^inf |T_n(t) - F_n(t)|^2 exp(-a t) dt,
 
-specialized to the Burr Type XII family where it has a closed form, plus a
-generic quadrature version for arbitrary piecewise-smooth operator
-estimates, and the four classical EDF statistics (Kolmogorov-Smirnov,
-Cramer-von Mises, Anderson-Darling, Watson) computed from a fitted CDF.
+specialized to the Burr Type XII family where it has a closed form, plus
+one exact piecewise integrator for every weighted-L2 statistic, and the
+four classical EDF statistics (Kolmogorov-Smirnov, Cramer-von Mises,
+Anderson-Darling, Watson) computed from a fitted CDF.
 """
 
 from __future__ import annotations
@@ -131,92 +131,88 @@ def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
 
 
 def burr_B_quadrature(s, k_hat: float, c_hat: float, a: float) -> float:
-    """Oracle evaluation of B_{n,a} by exact piecewise integration.
-
-    Between consecutive order statistics the deviation T_n - F_n is linear
-    in t, so every piece of |T_n - F_n|^2 exp(-a t) integrates in closed
-    form (incomplete-gamma moments); the only error is floating-point
-    accumulation.
-    """
-    x = np.sort(as_values(s))
-    n = x.size
+    """Oracle evaluation of B_{n,a} by generic_L2's exact piecewise
+    integration; the only error is floating-point accumulation."""
+    x = as_values(s)
     if not (a > 0 and k_hat > 0 and c_hat > 0):
         raise ValueError("burr_B_quadrature needs a, k_hat, c_hat > 0")
-    A1, _ = burr_coefficients(x, k_hat, c_hat)
-    # on (x_i, x_{i+1}): n*T_n(t) = S_i + t*R_i, n*F_n(t) = i
-    S = np.concatenate(([0.0], np.cumsum(A1 * x)))
-    R = np.concatenate((np.cumsum(A1[::-1])[::-1], [0.0]))
-    alpha = S - np.arange(n + 1)
-    t0 = np.concatenate(([0.0], x))
-    with np.errstate(over="ignore"):
-        w = np.exp(-a * t0)
-
-    beta = R[:-1]
-    d = x - t0[:-1]
-    ap = alpha[:-1] + beta * t0[:-1]
-    i0 = sp.gammainc(1.0, a * d) / a
-    i1 = sp.gammainc(2.0, a * d) / a ** 2
-    i2 = 2.0 * sp.gammainc(3.0, a * d) / a ** 3
-    interior = w[:-1] * (ap * ap * i0 + 2.0 * ap * beta * i1 + beta * beta * i2)
-    tail = alpha[-1] ** 2 * w[-1] / a
-    return float((interior.sum() + tail) / n)
+    return generic_L2(*min_pieces(x, burr_coefficients(x, k_hat, c_hat)[0]), a, x.size)
 
 
 def _burr_B_adaptive(s, k_hat, c_hat, a):
     """Third, fully independent route: black-box adaptive quadrature of the
     defining integral.  Slow; used in tests to cross-check the oracle."""
     x = np.sort(as_values(s))
-    n = x.size
     A1, _ = burr_coefficients(x, k_hat, c_hat)
-
-    def deviation(t):
-        return A1 @ np.minimum(x, t) / n - np.searchsorted(x, t, side="right") / n
-
-    total = 0.0
-    edges = [0.0] + list(x) + [math.inf]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(lambda t: deviation(t) ** 2 * math.exp(-a * t),
-                                lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total += val
-    return n * total
+    deviation = lambda t: (A1 @ np.minimum(x, t) - np.searchsorted(x, t, side="right")) / x.size
+    return _L2_adaptive(deviation, x, a, 0.0)
 
 
 # --------------------------------------------------------------------------
 # Generic weighted-L2 characterization statistic
 # --------------------------------------------------------------------------
 
-def generic_L2(Tn, s, a: float, left: float = 0.0, breakpoints=None,
-               quad_tol: float = 1e-11) -> float:
-    """n * integral |Tn(t) - F_n(t)|^2 exp(-a t) dt over the support.
+def min_pieces(x, coef):
+    """generic_L2 pieces of the min-type operator n*T_n(t) = sum_j coef_j
+    min(x_j, t) on positive x: they start at 0 and at each order statistic."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)) or np.any(x <= 0):
+        raise ValueError("observations must be positive and finite")
+    order = np.argsort(x, kind="stable")
+    x, coef = x[order], np.asarray(coef, dtype=float)[order]
+    alpha = np.concatenate(([0.0], np.cumsum(coef * x))) - np.arange(x.size + 1)
+    return np.concatenate(([0.0], x)), alpha, np.append(np.cumsum(coef[::-1])[::-1], 0.0)
 
-    ``Tn`` is the operator estimate as a callable of t, piecewise smooth
-    between the breakpoints (default: the order statistics).  ``left`` is
-    the support's lower endpoint; with left = -inf the deviation must
-    vanish below the smallest breakpoint (true for the standardized
-    real-line operator), since exp(-a t) blows up there.
+
+def zero_bias_pieces(y):
+    """generic_L2 pieces of the standard normal's zero-bias operator
+    n*T_n(t) = sum_{y_j <= t} y_j (y_j - t): they start at each order
+    statistic, as the deviation vanishes below the smallest."""
+    y = np.sort(np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
+    return y, np.cumsum(y * y) - np.arange(1, y.size + 1), -np.cumsum(y)
+
+
+def generic_L2(t0, alpha, beta, a: float, n: int) -> float:
+    """n * integral |T_n(t) - F_n(t)|^2 exp(-a t) dt, where n*(T_n - F_n) is
+    alpha[i] + beta[i]*t from t0[i] to t0[i+1] (the last piece runs to +inf)
+    and 0 below t0[0].
+
+    A finite piece of length d with end values p, q integrates exactly to
+    d * (p^2 m_0 + 2 p (q-p) m_1 + (q-p)^2 m_2), m_k = int_0^1 s^k e^{-a d s} ds;
+    the bounded q - p stands in for beta*d, whose square overflows for an
+    observation near 1e-300.
     """
-    x = np.sort(as_values(s))
-    n = x.size
     if not a > 0:
         raise ValueError("weight parameter a must be > 0")
-    brk = np.unique(np.asarray(breakpoints if breakpoints is not None else x, dtype=float))
+    t0, alpha, beta = (np.asarray(v, dtype=float) for v in (t0, alpha, beta))
+    p = alpha + beta * t0  # at the left end of each piece
+    g = alpha[:-1] + beta[:-1] * t0[1:] - p[:-1]
+    d = np.diff(t0)
+    tiny = a * d < 1e-16  # m_k -> 1/(k+1); the ratios below would underflow
+    c = np.where(tiny, 1.0, a * d)
+    with np.errstate(over="ignore"):
+        w = np.exp(-a * t0)
+        m = [np.where(tiny, 1.0 / (k + 1), math.factorial(k) * sp.gammainc(k + 1, c) / c ** (k + 1))
+             for k in range(3)]
+    pieces = d * (p[:-1] ** 2 * m[0] + 2.0 * p[:-1] * g * m[1] + g * g * m[2])
+    tail = p[-1] ** 2 / a + 2.0 * p[-1] * beta[-1] / a ** 2 + 2.0 * beta[-1] ** 2 / a ** 3
+    return float((w[:-1] @ pieces + w[-1] * tail) / n)
 
-    def edf(t):
-        return np.searchsorted(x, t, side="right") / n
 
-    def dev2(t):
-        return (Tn(t) - edf(t)) ** 2 * math.exp(-a * t)
-
+def _L2_adaptive(deviation, x, a, lo):
+    """Black-box adaptive quadrature of n * integral_lo^inf deviation(t)^2
+    exp(-a t) dt, split at the observations above lo.  Slow; the tests'
+    independent check of generic_L2."""
+    x = np.sort(as_values(x))
+    edges = [lo] + list(x[x > lo]) + [math.inf]
     total = 0.0
-    if math.isfinite(left):
-        lo = left
-    else:
-        lo = brk[0]  # deviation vanishes below by precondition
-    for hi in list(brk[brk > lo]) + [math.inf]:
-        val, _ = integrate.quad(dev2, lo, hi, epsabs=quad_tol, epsrel=1e-10, limit=200)
+    for t_lo, t_hi in zip(edges[:-1], edges[1:]):
+        val, _ = integrate.quad(lambda t: deviation(t) ** 2 * math.exp(-a * t),
+                                t_lo, t_hi, epsabs=1e-13, epsrel=1e-12, limit=200)
         total += val
-        lo = hi
-    return n * total
+    return x.size * total
 
 
 # --------------------------------------------------------------------------

@@ -156,6 +156,28 @@ def test_criterion_4_level_calibration():
     assert report(4, ok, f"H0 rejection rates over 1000 reps: {pretty} ({elapsed:.0f}s)"), rates
 
 
+L2_NULLS = {"gamma": ("Gamma(2,1)", make_distribution("gamma", k=2.0, lam=1.0)),
+            "normal": ("N(0,1)", make_distribution("normal", mu=0.0, sigma2=1.0))}
+
+
+@pytest.mark.parametrize("family", sorted(L2_NULLS))
+def test_criterion_4_level_calibration_L2(family):
+    """The criterion 4 protocol for the companion gamma and normal tests."""
+    label, law = L2_NULLS[family]
+    cfg = PowerStudyConfig(
+        n=100, alpha=0.1, mc_reps=1000, bootstrap_B=100, seed=60411,
+        statistics=(StatisticId("generic_L2", a=1.0),),
+        alternatives=((label, law),), family=family,
+    )
+    start = time.perf_counter()
+    rep = run_power_study(cfg, workers=WORKERS)
+    elapsed = time.perf_counter() - start
+    rate = rep.cell(label, "L2_1").rate
+    ok = 0.07 <= rate <= 0.13 and elapsed < 1800
+    assert report(4, ok, f"{family} family, H0 {label}, L2_1 rejection rate over 1000 reps: "
+                         f"{100 * rate:.1f}% ({elapsed:.0f}s)"), rate
+
+
 # --------------------------------------------------------------------------
 # 5. power spot checks against the reference table
 # --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from steinfit.bootstrap import (
+    BootstrapError,
     bootstrap_replicates,
     bootstrap_test,
     critical_rank,
@@ -164,3 +167,34 @@ def test_shared_draws_leave_each_statistic_unchanged():
     assert failed_pair == failed_one
     assert obs_pair[0] == obs_one[0]
     assert np.array_equal(pair[:, 0], one[:, 0])
+
+
+def test_non_finite_statistic_fails_the_replicate(monkeypatch):
+    import steinfit.bootstrap as bs
+    x = burr_data(n=40, seed=23)
+    stats = [StatisticId("burr_B", a=1.0), StatisticId("ks")]
+    B = 20
+    stream = lambda j: RngStream(10).child("rep", j)
+    orig = bs.evaluate_statistic
+    calls = {"n": 0}
+
+    def nan_once(family, stat, data, fit):
+        if stat.tag == "ks":
+            calls["n"] += 1
+            if calls["n"] == 6:  # observed sample, then replicates 1..5
+                return float("nan")
+        return orig(family, stat, data, fit)
+
+    monkeypatch.setattr(bs, "evaluate_statistic", nan_once)
+    _, _, boot, failed = bootstrap_replicates(x, "burr", stats, B, stream)
+    assert boot.shape == (B - 1, 2)
+    assert failed == 1
+    assert np.all(np.isfinite(boot))
+
+
+def test_non_finite_observed_statistic_raises(monkeypatch):
+    import steinfit.bootstrap as bs
+    x = burr_data(n=30, seed=24)
+    monkeypatch.setattr(bs, "evaluate_statistic", lambda family, stat, data, fit: math.inf)
+    with pytest.raises(BootstrapError):
+        bs.bootstrap_test(x, "burr", StatisticId("cvm"), B=10, alpha=0.1, rng=RngStream(1))

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from steinfit import gof
-from steinfit.distributions import RngStream, make_distribution, quantile, sample
+from steinfit.bootstrap import evaluate_statistic
+from steinfit.characterization import empirical_T_min, empirical_T_zero_bias
+from steinfit.distributions import RngStream, make_distribution, quantile, sample, score
+from steinfit.estimation import FitResult, normal_fit
+from steinfit.gof import StatisticId
 
 
 def burr_sample(n, k, c, seed):
@@ -113,26 +117,102 @@ def test_burr_B_zero_when_T_matches_F():
 
 def test_generic_L2_zero_for_identical_functions():
     x = np.array([0.5, 1.0, 2.0])
-
-    def Tn(t):
-        return float(np.searchsorted(x, t, side="right")) / x.size
-
-    assert gof.generic_L2(Tn, x, 1.0) == pytest.approx(0.0, abs=1e-12)
+    # n*T_n = n*F_n = i + 1 on the piece that starts at x_(i+1)
+    count = np.arange(1.0, x.size + 1)
+    assert gof.generic_L2(x, count - count, np.zeros(x.size), 1.0, x.size) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_generic_L2_gamma_geometry():
-    # gamma operator with k=1 on a unit sample reproduces the Burr ramp case
-    Tn = lambda t: min(1.0, t)
-    assert gof.generic_L2(Tn, [1.0], 1.0) == pytest.approx(2 - 5 / math.e, rel=1e-9)
+    # gamma operator with k=1 on a unit sample reproduces the Burr ramp case:
+    # T_n(t) = min(1, t)
+    pieces = gof.min_pieces([1.0], [1.0])
+    assert gof.generic_L2(*pieces, 1.0, 1) == pytest.approx(2 - 5 / math.e, rel=1e-9)
 
 
 def test_generic_L2_linear_in_n_for_replicated_deviation():
     x1 = np.array([1.0])
     x3 = np.array([1.0, 1.0, 1.0])
-    Tn = lambda t: min(1.0, t)
-    v1 = gof.generic_L2(Tn, x1, 1.0)
-    v3 = gof.generic_L2(Tn, x3, 1.0)
+    # T_n(t) = min(1, t) for both samples
+    v1 = gof.generic_L2(*gof.min_pieces(x1, np.ones(1)), 1.0, 1)
+    v3 = gof.generic_L2(*gof.min_pieces(x3, np.ones(3)), 1.0, 3)
     assert v3 == pytest.approx(3 * v1, rel=1e-9)
+
+
+def _edf(y):
+    y = np.sort(y)
+    return lambda t: np.searchsorted(y, t, side="right") / y.size
+
+
+def _gamma_L2_adaptive(x, fit, a):
+    y = x / fit.params["lam"]
+    unit = make_distribution("gamma", k=fit.params["k"], lam=1.0)
+    F = _edf(y)
+    deviation = lambda t: empirical_T_min(y, lambda v: score(unit, v), t, 0.0) - F(t)
+    return gof._L2_adaptive(deviation, y, a, 0.0)
+
+
+def _normal_L2_adaptive(x, fit, a):
+    y = (x - fit.params["mu"]) / math.sqrt(fit.params["sigma2"])
+    F = _edf(y)
+    deviation = lambda t: empirical_T_zero_bias(y, t, 1.0) - F(t)
+    return gof._L2_adaptive(deviation, y, a, float(y.min()))
+
+
+def test_generic_L2_gamma_and_normal_match_adaptive_oracle():
+    rng = np.random.default_rng(2019)
+    for _ in range(12):
+        n = int(rng.integers(1, 31))
+        a = float(rng.choice([0.25, 0.5, 1, 3]))
+        seed = int(rng.integers(1 << 30))
+        k = float(rng.uniform(0.3, 5.0))
+        g = sample(make_distribution("gamma", k=k, lam=float(rng.uniform(0.5, 2))), n,
+                   RngStream(seed)).values
+        fit = FitResult(params={"k": k * rng.uniform(0.8, 1.2), "lam": float(np.mean(g) / k)})
+        exact = evaluate_statistic("gamma", StatisticId("generic_L2", a=a), g, fit)
+        assert exact == pytest.approx(_gamma_L2_adaptive(g, fit, a), rel=1e-9)
+
+        z = sample(make_distribution("normal", mu=0.3, sigma2=2.0), max(n, 2),
+                   RngStream(seed)).values
+        fit = normal_fit(z)
+        exact = evaluate_statistic("normal", StatisticId("generic_L2", a=a), z, fit)
+        assert exact == pytest.approx(_normal_L2_adaptive(z, fit, a), rel=1e-9)
+
+
+def test_generic_L2_finite_on_tiny_observations():
+    # slopes near 1e300 on pieces near 1e-300 long: squaring the slope
+    # overflows, integrating from the end values does not
+    y = np.array([1e-300, 3e-200, 1e-120, 1e-30, 0.02, 0.5, 2, 7])
+    fit = FitResult(params={"k": 0.02, "lam": 1.0})
+    quadrature = {0.5: 5.795605925528205, 1.0: 1.3654080138890667, 3.0: 0.11854159119654206}
+    for a, want in quadrature.items():
+        got = evaluate_statistic("gamma", StatisticId("generic_L2", a=a), y, fit)
+        assert math.isfinite(got)
+        assert got == pytest.approx(_gamma_L2_adaptive(y, fit, a), rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9)
+    y[0] = 0.0
+    with pytest.raises(ValueError):
+        gof.min_pieces(y, np.ones(y.size))
+    with pytest.raises(ValueError):
+        evaluate_statistic("gamma", StatisticId("generic_L2", a=1.0), y, fit)
+
+
+def test_piece_builders_reject_non_finite_data():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gof.min_pieces([1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            gof.zero_bias_pieces([-1.0, bad])
+    with pytest.raises(ValueError):
+        gof.min_pieces([1.0, -2.0], [1.0, 1.0])
+
+
+def test_generic_L2_burr_route_equals_B():
+    x = burr_sample(40, 1.3, 2.0, 8)
+    fit = FitResult(params={"k": 1.2, "c": 1.8})
+    for a in (0.25, 1.0, 3.0):
+        l2 = evaluate_statistic("burr", StatisticId("generic_L2", a=a), x, fit)
+        assert l2 == pytest.approx(gof.burr_B_closed(x, 1.2, 1.8, a), rel=1e-10)
 
 
 # --------------------------------------------------------------------------
