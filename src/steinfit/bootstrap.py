@@ -6,6 +6,15 @@ size from the fitted law, re-fit each one, and recompute the statistic.
 The critical value is the ceil((1-alpha)B)-th order statistic of the
 bootstrap values (the 90th of 100 at the default alpha = 0.1, B = 100) and
 the hypothesis is rejected when the observed statistic strictly exceeds it.
+
+The observed sample goes through the scalar route (``fit_family_retry``,
+``evaluate_statistic``).  The B replicates of one sample are handled as
+(rows, n) matrices of at most BLOCK_DRAWS draws each: drawn with one
+quantile call, re-fitted together (Burr rows by ``estimation.burr_mle_rows``,
+with ``burr_mle`` deciding the rows it leaves unconverged; gamma and normal
+rows by their moment estimators), and scored by one kernel call per kind of
+statistic (``replicate_statistics``).  Every row's result is independent of
+the block it falls in.
 """
 
 from __future__ import annotations
@@ -17,23 +26,41 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gof
-# unused here; bench/tracer.py looks both up in this module's namespace
+# unused here; bench/tracer.py looks these up in this module's namespace
 from .characterization import empirical_T_min, empirical_T_zero_bias  # noqa: F401
+from .distributions import sample  # noqa: F401
 from .distributions import (
     DistributionSpec,
     RngStream,
     as_values,
     cdf,
+    cdf_rows,
     make_distribution,
-    sample,
+    sample_rows,
     score,
 )
-from .estimation import FitError, FitResult, burr_mle, gamma_fit, normal_fit
+from .estimation import (
+    FitError,
+    FitResult,
+    burr_mle,
+    burr_mle_rows,
+    gamma_fit,
+    moments_rows,
+    normal_fit,
+)
 from .gof import StatisticId
 
-FAMILIES = ("burr", "gamma", "normal")
+# hypothesis family -> catalog family of its fitted law (Burr XII at scale 1)
+_CATALOG = {"burr": "burr_xii", "gamma": "gamma", "normal": "normal"}
+FAMILIES = tuple(_CATALOG)
 
 MAX_FAILURE_FRACTION = 0.05
+# what fails one replicate; any other exception is a bug and propagates
+REPLICATE_ERRORS = (FitError, ValueError, FloatingPointError)
+
+# the replicates are handled in blocks of at most this many draws (and at
+# least one row), which bounds the engine's memory whatever B and n are
+BLOCK_DRAWS = 2 ** 18
 
 
 class BootstrapError(RuntimeError):
@@ -97,13 +124,9 @@ def fit_family_retry(family: str, x) -> FitResult:
 
 
 def fitted_distribution(family: str, fit: FitResult) -> DistributionSpec:
-    if family == "burr":
-        return make_distribution("burr_xii", k=fit.params["k"], c=fit.params["c"], sigma=1.0)
-    if family == "gamma":
-        return make_distribution("gamma", k=fit.params["k"], lam=fit.params["lam"])
-    if family == "normal":
-        return make_distribution("normal", mu=fit.params["mu"], sigma2=fit.params["sigma2"])
-    raise ValueError(f"unknown hypothesis family '{family}'")
+    if family not in _CATALOG:
+        raise ValueError(f"unknown hypothesis family '{family}'")
+    return make_distribution(_CATALOG[family], **fit.params)
 
 
 def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> float:
@@ -115,20 +138,7 @@ def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> flo
         return gof.burr_B_closed(x, fit.params["k"], fit.params["c"], stat.a)
 
     if stat.tag == "generic_L2":
-        if family == "burr":
-            pieces = gof.min_pieces(x, gof.burr_coefficients(x, fit.params["k"], fit.params["c"])[0])
-        elif family == "gamma":
-            y = x / fit.params["lam"]
-            unit = make_distribution("gamma", k=fit.params["k"], lam=1.0)
-            pieces = gof.min_pieces(y, -score(unit, y))
-        elif family == "normal":
-            sd = math.sqrt(fit.params["sigma2"])
-            if sd == 0.0:
-                raise FitError("zero variance: cannot standardize")
-            pieces = gof.zero_bias_pieces((x - fit.params["mu"]) / sd)
-        else:
-            raise ValueError(f"unknown hypothesis family '{family}'")
-        return gof.generic_L2(*pieces, stat.a, x.size)
+        return _l2_statistic(family, stat.a, x, fit.params)
 
     fitted = fitted_distribution(family, fit)
     F = lambda v: cdf(fitted, v)
@@ -143,6 +153,91 @@ def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> flo
     raise ValueError(f"unknown statistic tag '{stat.tag}'")
 
 
+def _l2_statistic(family: str, a: float, x: np.ndarray, params: dict) -> float:
+    if family == "burr":
+        pieces = gof.min_pieces(x, gof.burr_coefficients(x, params["k"], params["c"])[0])
+    elif family == "gamma":
+        y = x / params["lam"]
+        unit = make_distribution("gamma", k=params["k"], lam=1.0)
+        pieces = gof.min_pieces(y, -score(unit, y))
+    elif family == "normal":
+        sd = math.sqrt(params["sigma2"])
+        if sd == 0.0:
+            raise FitError("zero variance: cannot standardize")
+        pieces = gof.zero_bias_pieces((x - params["mu"]) / sd)
+    else:
+        raise ValueError(f"unknown hypothesis family '{family}'")
+    return gof.generic_L2(*pieces, a, x.size)
+
+
+# --------------------------------------------------------------------------
+# Batched replicates
+# --------------------------------------------------------------------------
+
+def _fit_rows(family: str, X: np.ndarray, fit: FitResult):
+    """Re-fit every row of X: (params, ok), where params maps each parameter
+    name to a (rows,) array and ok marks the rows that fit_family_retry
+    would fit with convergence."""
+    if family == "burr":
+        # burr_mle raises FitError on these rows
+        ok = np.all(np.isfinite(X) & (X > 0), axis=1)
+        ok[ok] = np.ptp(X[ok], axis=1) > 0
+        rows = np.flatnonzero(ok)
+        params = {"k": np.full(X.shape[0], math.nan), "c": np.full(X.shape[0], math.nan)}
+        params["k"][rows], params["c"][rows], converged = burr_mle_rows(X[rows], fit.params["c"])
+        for i in rows[~converged]:
+            try:
+                fb = fit_family_retry(family, X[i])
+            except REPLICATE_ERRORS:
+                ok[i] = False
+                continue
+            ok[i] = fb.converged
+            params["k"][i], params["c"][i] = fb.params["k"], fb.params["c"]
+        return params, ok
+    mean, var = moments_rows(X)
+    if family == "gamma":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            params = {"k": mean * mean / var, "lam": var / mean}
+        return params, np.all(X > 0, axis=1) & (var != 0.0)
+    if family == "normal":
+        return {"mu": mean, "sigma2": var}, var != 0.0
+    raise ValueError(f"unknown hypothesis family '{family}'")
+
+
+def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.ndarray:
+    """Every statistic on every row of X at that row's fit: a (rows,
+    len(stats)) array, NaN where a statistic cannot be computed.
+
+    X holds sorted rows; ``params`` maps each parameter name to a (rows,)
+    array.  B_{n,a} for all a-values is one ``gof.burr_B_rows`` call and the
+    EDF statistics share one fitted-CDF matrix; the L2 statistic is one
+    ``gof.generic_L2`` call per row.
+    """
+    n = X.shape[1]
+    out = np.empty((X.shape[0], len(stats)))
+    b_cols = [i for i, stat in enumerate(stats) if stat.tag == "burr_B"]
+    if b_cols:
+        if family != "burr":
+            raise ValueError("the burr_B statistic applies to the burr family only")
+        out[:, b_cols] = gof.burr_B_rows(X, params["k"], params["c"],
+                                         [stats[i].a for i in b_cols])
+    edf_tags = {stat.tag for stat in stats if stat.tag in gof.EDF_TAGS}
+    if edf_tags:
+        z = cdf_rows(_CATALOG[family], {name: v[:, None] for name, v in params.items()}, X)
+        edf = gof.edf_rows(z, edf_tags)
+    for i, stat in enumerate(stats):
+        if stat.tag in edf_tags:
+            out[:, i] = edf[stat.tag] * math.sqrt(n) if stat.sqrt_n else edf[stat.tag]
+        elif stat.tag == "generic_L2":
+            for r in range(X.shape[0]):
+                try:
+                    out[r, i] = _l2_statistic(family, stat.a, X[r],
+                                              {name: float(v[r]) for name, v in params.items()})
+                except REPLICATE_ERRORS:
+                    out[r, i] = math.nan
+    return out
+
+
 # --------------------------------------------------------------------------
 # The bootstrap test
 # --------------------------------------------------------------------------
@@ -154,7 +249,7 @@ def critical_rank(B: int, alpha: float) -> int:
 
 def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
                          stream: Callable[[int], RngStream]):
-    """The parametric bootstrap loop behind bootstrap_test and the power study.
+    """The parametric bootstrap behind bootstrap_test and the power study.
 
     Fits ``x`` and evaluates every statistic on it; replicate j = 1..B is
     drawn from the fitted law on ``stream(j)``, re-fitted, and gives one row
@@ -171,25 +266,21 @@ def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
         raise BootstrapError(f"non-finite statistic on the observed sample: {observed}")
     fitted = fitted_distribution(family, fit)
 
-    boot = np.empty((B, len(stats)))
-    kept = 0
-    for j in range(1, B + 1):
-        xb = sample(fitted, x.size, stream(j)).values
-        try:
-            fb = fit_family_retry(family, xb)
-            if not fb.converged:
-                raise FitError(fb.message)
-            boot[kept] = [evaluate_statistic(family, stat, xb, fb) for stat in stats]
-            if not np.all(np.isfinite(boot[kept])):
-                raise FloatingPointError("non-finite statistic")
-        except (FitError, ValueError, FloatingPointError):
-            continue
-        kept += 1
-    failed = B - kept
+    blocks = []
+    rows = max(1, BLOCK_DRAWS // x.size)
+    for first in range(1, B + 1, rows):
+        draws = sample_rows(fitted, x.size,
+                            [stream(j) for j in range(first, min(first + rows, B + 1))])
+        params, ok = _fit_rows(family, draws, fit)
+        block = replicate_statistics(family, stats, np.sort(draws[ok], axis=1),
+                                     {name: v[ok] for name, v in params.items()})
+        blocks.append(block[np.all(np.isfinite(block), axis=1)])
+    boot = np.concatenate(blocks)
+    failed = B - boot.shape[0]
     if failed > MAX_FAILURE_FRACTION * B:
         raise BootstrapError(
             f"{failed}/{B} bootstrap replicates failed to fit (family={family}, n={x.size})")
-    return fit, observed, boot[:kept], failed
+    return fit, observed, boot, failed
 
 
 def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,

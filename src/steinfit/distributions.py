@@ -29,9 +29,10 @@ shifted_gamma(k, lam, mu)          gamma translated to (mu, inf)
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -109,21 +110,19 @@ def _fmt_num(v: float) -> str:
 
 @dataclass(frozen=True)
 class Sample:
-    """A finite batch of observations with a cached sorted view."""
+    """A finite batch of observations with a sorted view, made on first use."""
 
     values: np.ndarray
-    _sorted: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.size < 1:
             raise ValueError("sample must contain at least one observation")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_sorted", np.sort(vals))
 
-    @property
+    @functools.cached_property
     def sorted_values(self) -> np.ndarray:
-        return self._sorted
+        return np.sort(self.values)
 
     @property
     def n(self) -> int:
@@ -228,8 +227,8 @@ _register(
     validate=lambda p: _positive(p, "sigma2"),
     logpdf=lambda p, x: -0.5 * (x - p["mu"]) ** 2 / p["sigma2"] - 0.5 * math.log(2 * math.pi * p["sigma2"]),
     pdf=lambda p, x: np.exp(-0.5 * (x - p["mu"]) ** 2 / p["sigma2"]) / (_SQRT2PI * math.sqrt(p["sigma2"])),
-    cdf=lambda p, x: sp.ndtr((x - p["mu"]) / math.sqrt(p["sigma2"])),
-    sf=lambda p, x: sp.ndtr(-(x - p["mu"]) / math.sqrt(p["sigma2"])),
+    cdf=lambda p, x: sp.ndtr((x - p["mu"]) / np.sqrt(p["sigma2"])),
+    sf=lambda p, x: sp.ndtr(-(x - p["mu"]) / np.sqrt(p["sigma2"])),
     quantile=lambda p, u: p["mu"] + math.sqrt(p["sigma2"]) * sp.ndtri(u),
     score=lambda p, x: -(x - p["mu"]) / p["sigma2"],
 )
@@ -568,6 +567,15 @@ def cdf(dist: DistributionSpec, x):
     return _scalarize(x, out)
 
 
+def cdf_rows(family: str, params: dict, X) -> np.ndarray:
+    """The catalog distribution function of ``family`` at X, for X inside the
+    support (nothing is clamped).  ``params`` maps parameter names to values
+    that broadcast against X, e.g. (rows, 1) columns holding one fit per row
+    of a (rows, n) X; a parameter left out takes its default."""
+    fam = _REGISTRY[family]
+    return fam.cdf({**fam.defaults, **params}, np.asarray(X, dtype=float))
+
+
 def sf(dist: DistributionSpec, x):
     """Survival function 1 - cdf(x), evaluated without cancellation."""
     arr = np.asarray(x, dtype=float)
@@ -634,27 +642,32 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> Sample:
     absolute value of the symmetric variate, and the Levy law is generated
     as mu + sigma/Z^2 for a standard normal Z.
     """
+    return Sample(sample_rows(dist, n, [rng])[0])
+
+
+def sample_rows(dist: DistributionSpec, n: int, rngs) -> np.ndarray:
+    """One row of n variates per stream in ``rngs``, row j drawn as
+    ``sample(dist, n, rngs[j])`` draws it: each stream gives its row's
+    uniforms, and one transform maps the whole matrix of them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng.generator()
     p = dist.param_dict
     fam = dist.family
     if fam == "inverse_gaussian":
-        vals = _sample_inverse_gaussian(p["mu"], p["lam"], n, g)
-    elif fam == "half_normal":
-        u = np.clip(g.random(n), _U_EPS, 1 - _U_EPS)
-        vals = np.abs(sp.ndtri(u))
-    elif fam == "half_cauchy":
-        u = np.clip(g.random(n), _U_EPS, 1 - _U_EPS)
-        vals = np.abs(np.tan(math.pi * (u - 0.5)))
-    elif fam == "levy":
-        u = np.clip(g.random(n), _U_EPS, 1 - _U_EPS)
-        z = sp.ndtri(u)
-        vals = p["mu"] + p["sigma"] / z ** 2
-    else:
-        u = np.clip(g.random(n), _U_EPS, 1 - _U_EPS)
-        vals = quantile(dist, u)
-    return Sample(np.asarray(vals, dtype=float))
+        return np.array([_sample_inverse_gaussian(p["mu"], p["lam"], n, rng.generator())
+                         for rng in rngs])
+    u = np.array([_uniforms(rng.generator(), n) for rng in rngs])
+    if fam == "half_normal":
+        return np.abs(sp.ndtri(u))
+    if fam == "half_cauchy":
+        return np.abs(np.tan(math.pi * (u - 0.5)))
+    if fam == "levy":
+        return p["mu"] + p["sigma"] / sp.ndtri(u) ** 2
+    return np.asarray(quantile(dist, u), dtype=float)
+
+
+def _uniforms(g: np.random.Generator, n: int) -> np.ndarray:
+    return np.clip(g.random(n), _U_EPS, 1 - _U_EPS)
 
 
 def _sample_inverse_gaussian(mu, lam, n, g):

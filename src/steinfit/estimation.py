@@ -3,9 +3,13 @@
 * burr_mle      -- profile maximum likelihood for the Burr XII (k, c) pair
                    (scale fixed at 1); the k direction has a closed-form
                    stationary point, leaving a robust 1-d bracketed search.
+* burr_mle_rows -- the same maximum for every row of a matrix at once, by a
+                   safeguarded Newton iteration; burr_mle decides the rows it
+                   leaves unconverged and is its test oracle.
 * gamma_fit     -- method of moments; exactly scale equivariant (lam) and
                    scale invariant (k).
 * normal_fit    -- sample mean and variance with divisor n.
+* moments_rows  -- the mean and variance of gamma_fit and normal_fit, row-wise.
 """
 
 from __future__ import annotations
@@ -60,7 +64,11 @@ def burr_loglik(x, k: float, c: float) -> float:
     return float(n * math.log(c) + n * math.log(k) + (c - 1) * logx.sum() - (k + 1) * t)
 
 
-def burr_mle(s, c_bracket=(1e-3, 1e3), xatol: float = 1e-10,
+# the search bracket for c of burr_mle (before any expansion) and of burr_mle_rows
+C_BRACKET = (1e-3, 1e3)
+
+
+def burr_mle(s, c_bracket=C_BRACKET, xatol: float = 1e-10,
              max_expansions: int = 2) -> FitResult:
     """Burr XII maximum likelihood via the profile in c.
 
@@ -107,6 +115,69 @@ def burr_mle(s, c_bracket=(1e-3, 1e3), xatol: float = 1e-10,
                      loglik=ll, iterations=nfev, message=msg)
 
 
+# a batched fit ending this close to the bracket (in log c) is left to burr_mle
+ROWS_EDGE_TOL = 1e-6
+ROWS_UTOL = 1e-10  # a row is frozen once its step in log c falls below this
+ROWS_MAXITER = 100
+
+
+def burr_mle_rows(X, c0: float):
+    """Burr XII profile maximum likelihood of every row of X at once.
+
+    The rows must be positive, finite and not constant.  A Newton iteration
+    on the profile score in u = log c starts every row at log(c0), keeps a
+    sign bracket inside log(C_BRACKET) and bisects it whenever a Newton step
+    would leave it; a row is frozen once its step falls below ROWS_UTOL, so
+    later iterations cannot move it off the root.  Returns arrays (k, c,
+    converged), k = n / sum log(1 + x^c).  A row that has not converged
+    after ROWS_MAXITER steps, or that ends within ROWS_EDGE_TOL of the
+    bracket, has converged False: burr_mle, with its bracket expansion,
+    decides it.
+    """
+    L = np.log(np.asarray(X, dtype=float))
+    rows, n = L.shape
+    lo0, hi0 = (math.log(b) for b in C_BRACKET)
+    lo, hi = np.full(rows, lo0), np.full(rows, hi0)
+    u = np.full(rows, min(max(math.log(c0), lo0), hi0))
+    done = np.zeros(rows, dtype=bool)
+    converged = np.zeros(rows, dtype=bool)
+    for _ in range(ROWS_MAXITER):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        ua, La = u[act], L[act]
+        c = np.exp(ua)
+        z = c[:, None] * La
+        e = np.exp(-np.abs(z))
+        q = 1.0 / (1.0 + e)
+        s = np.where(z > 0, q, e * q)  # x^c / (1 + x^c)
+        r = np.where(z > 0, e * q, q)  # 1 / (1 + x^c)
+        t = (np.maximum(z, 0.0) + np.log1p(e)).sum(axis=1)  # sum log(1 + x^c)
+        ct1 = c * (La * s).sum(axis=1)
+        c2t2 = c * c * (La * La * s * r).sum(axis=1)
+        rest = c * (La * r).sum(axis=1)  # c (S - t'), free of cancellation
+        # profile score dl/du and its derivative; l(u) = n u - n log t + c S - t + const
+        g = n + rest - n * ct1 / t
+        dg = rest - c2t2 - n * (ct1 + c2t2) / t + n * (ct1 / t) ** 2
+        bad = ~(np.isfinite(g) & np.isfinite(dg))
+        up = g > 0
+        lo[act] = np.where(up, ua, lo[act])
+        hi[act] = np.where(up, hi[act], ua)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ua - g / dg
+        # a step below ROWS_UTOL is taken even onto the bracket's end (g = 0 there)
+        take = ((newton > lo[act]) & (newton < hi[act])) | (np.abs(newton - ua) < ROWS_UTOL)
+        new = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
+        stop = bad | (np.abs(new - ua) < ROWS_UTOL)
+        u[act] = np.where(bad, ua, new)
+        done[act] = stop
+        converged[act] = stop & ~bad
+    converged &= np.minimum(u - lo0, hi0 - u) > ROWS_EDGE_TOL
+    c = np.exp(u)
+    k = n / np.logaddexp(0.0, c[:, None] * L).sum(axis=1)
+    return k, c, converged
+
+
 # --------------------------------------------------------------------------
 # Gamma and normal moment estimators
 # --------------------------------------------------------------------------
@@ -149,3 +220,11 @@ def normal_fit(s) -> FitResult:
     n = x.size
     result.loglik = float(-0.5 * n * (math.log(2 * math.pi * var) + 1.0))
     return result
+
+
+def moments_rows(X):
+    """Row means and variances (divisor n) of a matrix, summed as gamma_fit
+    and normal_fit sum one sample, so each row's values are bit-identical."""
+    X = np.asarray(X, dtype=float)
+    mean = np.mean(X, axis=1)
+    return mean, np.mean((X - mean[:, None]) ** 2, axis=1)

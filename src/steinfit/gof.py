@@ -130,6 +130,52 @@ def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
     return float(off + diag + single)
 
 
+def burr_B_rows(X, k_hat, c_hat, a_values):
+    """burr_B_closed of every row of X at that row's fit, for each a-value:
+    a (rows, len(a_values)) array.
+
+    X holds sorted, positive, finite rows; k_hat and c_hat hold one value
+    per row.  The Burr coefficients and the A2 prefix sums are computed once
+    and shared by all a-values.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[1]
+    c = np.asarray(c_hat, dtype=float)[:, None]
+    A1, A2 = burr_coefficients(X, np.asarray(k_hat, dtype=float)[:, None], c)
+    csum_A2 = _prefix_sums(A2)
+    j0 = np.arange(n, dtype=float)
+    out = np.empty((X.shape[0], len(a_values)))
+    for col, a in enumerate(a_values):
+        e = np.exp(-a * X)
+        one_m_e = -np.expm1(-a * X)
+        inner = (2.0 * A1 / a ** 3) * one_m_e + (A2 / a ** 2) * e \
+            + ((c - 2.0) / a ** 2) * e - (X / a) * e
+        off = (2.0 / n) * (_row_dot(A1, _prefix_sums(inner))
+                           + _row_dot(A1 * e, csum_A2) / a ** 2
+                           + _row_dot(e, csum_A2) / a)
+        diag_bracket = (2.0 / a ** 3) * sp.gammainc(3.0, a * X) + (X * X / a) * e
+        diag = (1.0 / n) * (_row_dot(A1 * A1, diag_bracket)
+                            + (2.0 * c[:, 0] / a ** 2) * _row_dot(j0 * A1, e)
+                            + (2.0 / a) * _row_dot(A2, e))
+        single = (2.0 * c[:, 0] / (a * n)) * _row_dot(e, j0 + 1.0) - e.sum(axis=1) / (a * n)
+        out[:, col] = off + diag + single
+    return out
+
+
+def _prefix_sums(v):
+    """Row-wise sums of the entries before each one (0 for the first)."""
+    out = np.zeros_like(v)
+    np.cumsum(v[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
+def _row_dot(u, v):
+    """Dot product of each row of u with the same row of v (or with v itself
+    when v is 1-d), made by the BLAS dot that ``@`` uses on one row, so each
+    value is bit-identical to that of the one-row formula."""
+    return np.matmul(u[:, None, :], v[..., None])[:, 0, 0]
+
+
 def burr_B_quadrature(s, k_hat: float, c_hat: float, a: float) -> float:
     """Oracle evaluation of B_{n,a} by generic_L2's exact piecewise
     integration; the only error is floating-point accumulation."""
@@ -237,8 +283,12 @@ def ks(s, F, sqrt_n: bool = False) -> float:
 def cvm(s, F) -> float:
     """Cramer-von Mises statistic 1/(12n) + sum (F(X_(j)) - (2j-1)/(2n))^2."""
     z, n = _fitted_values(s, F)
+    return float(_cvm(z, n))
+
+
+def _cvm(z, n):
     j = np.arange(1, n + 1)
-    return float(1.0 / (12 * n) + np.sum((z - (2 * j - 1) / (2 * n)) ** 2))
+    return 1.0 / (12 * n) + np.sum((z - (2 * j - 1) / (2 * n)) ** 2)
 
 
 def ad(s, F) -> float:
@@ -261,4 +311,32 @@ def ad(s, F) -> float:
 def watson(s, F) -> float:
     """Watson statistic CM - n (mean(F(X_(j))) - 1/2)^2."""
     z, n = _fitted_values(s, F)
-    return float(cvm(s, F) - n * (np.mean(z) - 0.5) ** 2)
+    return float(_cvm(z, n) - n * (np.mean(z) - 0.5) ** 2)
+
+
+EDF_TAGS = ("ks", "cvm", "ad", "watson")
+
+
+def edf_rows(z, tags) -> dict:
+    """The EDF statistics named in ``tags`` for every row of z, where row i
+    holds a fitted CDF at the order statistics of sample i: {tag: (rows,)
+    array}, KS unscaled.  Watson reuses the CvM of the same rows; AD clamps
+    and warns as ``ad`` does."""
+    z = np.asarray(z, dtype=float)
+    n = z.shape[1]
+    j = np.arange(1, n + 1)
+    out = {}
+    if "ks" in tags:
+        out["ks"] = np.maximum(np.max(j / n - z, axis=1), np.max(z - (j - 1) / n, axis=1))
+    if "cvm" in tags or "watson" in tags:
+        out["cvm"] = 1.0 / (12 * n) + np.sum((z - (2 * j - 1) / (2 * n)) ** 2, axis=1)
+    if "watson" in tags:
+        out["watson"] = out["cvm"] - n * (np.mean(z, axis=1) - 0.5) ** 2
+    if "ad" in tags:
+        if np.any(z <= 0.0) or np.any(z >= 1.0):
+            warnings.warn("fitted CDF values clamped away from {0,1} in the AD statistic",
+                          RuntimeWarning, stacklevel=2)
+        zc = np.clip(z, AD_CLAMP, 1.0 - AD_CLAMP)
+        out["ad"] = -n - np.sum((2 * j - 1) * np.log(zc) + (2 * (n - j) + 1) * np.log1p(-zc),
+                                axis=1) / n
+    return out

@@ -6,8 +6,9 @@ default all statistics share one fit and one set of bootstrap draws per
 replicate (each statistic still ranks its own bootstrap distribution),
 which cuts the cost by the number of statistics; ``share_bootstrap=False``
 gives every statistic its own independent bootstrap instead.  Both modes
-run the one replicate loop, ``bootstrap.bootstrap_replicates``, which drops
-a bootstrap replicate whole when its re-fit or any statistic fails.
+run the one bootstrap engine, ``bootstrap.bootstrap_replicates``, which
+draws, re-fits and scores the B replicates of a sample as one matrix and
+drops a replicate whole when its re-fit or any statistic fails.
 
 Every random draw is keyed by (master seed, alternative label, replicate
 index), so reports are bit-identical regardless of worker count or of which

@@ -19,6 +19,7 @@ from steinfit.distributions import (
     pdf,
     quantile,
     sample,
+    sample_rows,
     score,
     sf,
 )
@@ -203,6 +204,18 @@ def test_parameter_errors():
 def test_laplace_knot_recorded():
     lap = _dist("laplace", dict(mu=2.5, sigma=1))
     assert lap.support.knots == (2.5,)
+
+
+@pytest.mark.parametrize("family, kw", [("burr_xii", dict(k=1.3, c=1.7)),
+                                        ("gamma", dict(k=0.7, lam=2.0)),
+                                        ("normal", dict(mu=1.0, sigma2=3.0)),
+                                        ("half_normal", {})])
+def test_sample_rows_bit_equal_to_sample(family, kw):
+    dist = _dist(family, kw)
+    streams = [RngStream(4).child("rep", j) for j in range(1, 41)]
+    rows = sample_rows(dist, 37, streams)
+    assert rows.shape == (40, 37)
+    assert np.array_equal(rows, [sample(dist, 37, rng).values for rng in streams])
 
 
 def test_sample_type():

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from steinfit import estimation
 from steinfit.distributions import RngStream, make_distribution, sample
 from steinfit.estimation import (
     FitError,
     burr_loglik,
     burr_mle,
+    burr_mle_rows,
     burr_profile_k,
     gamma_fit,
+    moments_rows,
     normal_fit,
 )
 
@@ -64,6 +67,93 @@ def test_burr_mle_beats_grid_oracle():
         ll = (n * np.log(cc) + n * np.log(kk) + (cc - 1) * logx.sum()
               - (kk + 1) * t_by_c[None, :])
         assert fit.loglik >= ll.max() - 1e-6
+
+
+def _fit_agreement_samples():
+    """250 samples, n = 10..200: Burr, Weibull, lognormal (near-constant to
+    very wide), Lomax and exponential data."""
+    rng = np.random.default_rng(20261018)
+    samples = []
+    for i in range(250):
+        n = int(rng.integers(10, 201))
+        kind = i % 5
+        if kind == 0:
+            x = draw("burr_xii", n, i, k=rng.uniform(0.2, 5), c=rng.uniform(0.2, 8))
+        elif kind == 1:
+            x = rng.weibull(rng.uniform(0.3, 6), n) * rng.uniform(0.3, 3)
+        elif kind == 2:
+            x = rng.lognormal(rng.uniform(-1, 1), rng.uniform(0.02, 4), n)
+        elif kind == 3:
+            x = rng.pareto(rng.uniform(0.3, 6), n) * rng.uniform(0.3, 3)  # Lomax
+        else:
+            x = rng.exponential(rng.uniform(0.3, 3), n)
+        samples.append(x)
+    return samples
+
+
+def _profile(x, u):
+    c = math.exp(u)
+    return burr_loglik(x, burr_profile_k(x, c), c)
+
+
+def test_burr_mle_rows_matches_brent_oracle():
+    left = 0
+    for x in _fit_agreement_samples():
+        ref = burr_mle(x)
+        k, c, converged = burr_mle_rows(x[None], 1.0)
+        if not converged[0]:
+            # left to burr_mle only where its maximizer sits at the bracket's edge
+            left += 1
+            assert not 1e-3 * (1 + 1e-5) < ref.params["c"] < 1e3 * (1 - 1e-5)
+            continue
+        assert k[0] == burr_profile_k(x, c[0])
+        ll = burr_loglik(x, k[0], c[0])
+        assert ll >= ref.loglik - 1e-12 * max(1.0, abs(ref.loglik))
+        # c: bounded Brent stops once its interval is about sqrt(eps)|log c|
+        # wide, so c agrees to 1e-7 relative or to a few of those widths.  On
+        # a profile too flat to fix c (curvature below 1e-3 n) only the
+        # log-likelihood above is compared.
+        u, h = math.log(c[0]), 1e-2
+        curvature = abs(_profile(x, u + h) - 2 * ll + _profile(x, u - h)) / h ** 2
+        if curvature >= 1e-3 * x.size:
+            tol = max(1e-7, 4 * math.sqrt(np.finfo(float).eps) * abs(u))
+            assert abs(math.log(ref.params["c"]) - u) <= tol
+    assert left <= 5
+
+
+def test_burr_mle_rows_rows_are_independent_of_the_batch():
+    rng = np.random.default_rng(8)
+    X = np.array([draw("burr_xii", 60, int(s), k=rng.uniform(0.5, 3), c=rng.uniform(0.5, 4))
+                  for s in rng.integers(1 << 30, size=40)])
+    k, c, converged = burr_mle_rows(X, 1.5)
+    assert converged.all()
+    for i in range(X.shape[0]):
+        ki, ci, conv_i = burr_mle_rows(X[i:i + 1], 1.5)
+        assert (ki[0], ci[0], conv_i[0]) == (k[i], c[i], converged[i])
+
+
+@pytest.mark.parametrize("c_true, bracket, edge", [(3000.0, None, 1e3),
+                                                   (0.03, (0.1, 10.0), 0.1)])
+def test_burr_mle_rows_edge_rows_left_unconverged(c_true, bracket, edge, monkeypatch):
+    # finite positive data cannot put the maximizer below the default
+    # bracket's 1e-3 (that needs |log x| of order 1/c), so the low edge is
+    # checked on a narrowed bracket
+    if bracket is not None:
+        monkeypatch.setattr(estimation, "C_BRACKET", bracket)
+    X = np.array([draw("burr_xii", 80, seed, k=1.0, c=c_true) for seed in range(3)])
+    _, c, converged = burr_mle_rows(X, 1.0)
+    assert not converged.any()
+    assert np.allclose(c, edge, rtol=1e-6)
+
+
+def test_moments_rows_bit_identical_to_fits():
+    rng = np.random.default_rng(4)
+    X = rng.gamma(0.7, 2.0, size=(30, 57))
+    mean, var = moments_rows(X)
+    for i, x in enumerate(X):
+        g, z = gamma_fit(x), normal_fit(x)
+        assert (g.params["k"], g.params["lam"]) == (mean[i] ** 2 / var[i], var[i] / mean[i])
+        assert (z.params["mu"], z.params["sigma2"]) == (mean[i], var[i])
 
 
 def test_burr_mle_input_validation():

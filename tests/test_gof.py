@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 from steinfit import gof
 from steinfit.bootstrap import evaluate_statistic
 from steinfit.characterization import empirical_T_min, empirical_T_zero_bias
-from steinfit.distributions import RngStream, make_distribution, quantile, sample, score
+from steinfit.distributions import RngStream, cdf, make_distribution, quantile, sample, score
 from steinfit.estimation import FitResult, normal_fit
 from steinfit.gof import StatisticId
 
@@ -66,6 +66,32 @@ def test_burr_B_matches_mle_fit_instances():
         closed = gof.burr_B_closed(x, fit.params["k"], fit.params["c"], 3.0)
         oracle = gof.burr_B_quadrature(x, fit.params["k"], fit.params["c"], 3.0)
         assert closed == pytest.approx(oracle, rel=1e-8)
+
+
+def _burr_rows(rows, n, seed):
+    """Sorted Burr samples of a common size with one (k, c) per row, among
+    them wide samples with order statistics below 1e-5."""
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(0.3, 4.0, rows)
+    c = rng.uniform(0.4, 6.0, rows)
+    X = np.array([np.sort(burr_sample(n, k[i], c[i], seed + i)) for i in range(rows)])
+    return X, k * rng.uniform(0.8, 1.25, rows), c * rng.uniform(0.8, 1.25, rows)
+
+
+def test_burr_B_rows_match_closed_form_and_oracle():
+    X, k, c = _burr_rows(40, 60, 301)
+    a_values = [0.25, 1.0, 3.0]
+    got = gof.burr_B_rows(X, k, c, a_values)
+    for i in range(X.shape[0]):
+        for j, a in enumerate(a_values):
+            # the same arithmetic as the one-row closed form, so the same float
+            assert got[i, j] == gof.burr_B_closed(X[i], k[i], c[i], a)
+            # the closed form itself is within 2.3e-10 of the oracle on these rows
+            assert got[i, j] == pytest.approx(gof.burr_B_quadrature(X[i], k[i], c[i], a),
+                                              rel=1e-9)
+        # a row's values do not depend on the rest of the batch
+        assert np.array_equal(gof.burr_B_rows(X[i:i + 1], k[i:i + 1], c[i:i + 1], a_values)[0],
+                              got[i])
 
 
 def test_burr_B_paper_display_verbatim_grouping():
@@ -258,6 +284,44 @@ def test_watson_hand_values():
     half = lambda x: np.full_like(np.asarray(x, float), 0.5)
     assert gof.watson([0.3], half) == pytest.approx(1 / 12, abs=1e-15)
     assert gof.watson([0.25, 0.75], IDENTITY) == pytest.approx(1 / 24, abs=1e-15)
+
+
+def test_watson_evaluates_the_fitted_cdf_once():
+    calls = []
+
+    def F(x):
+        calls.append(1)
+        return np.clip(np.asarray(x, float) + 0.1, 0, 1)
+
+    x = np.linspace(0.05, 0.55, 10)
+    expected = gof.cvm(x, F) - x.size * (np.mean(F(np.sort(x))) - 0.5) ** 2
+    calls.clear()
+    assert gof.watson(x, F) == expected
+    assert len(calls) == 1
+
+
+def test_edf_rows_match_scalar_statistics():
+    X, k, c = _burr_rows(30, 50, 401)
+    laws = [make_distribution("burr_xii", k=k[i], c=c[i]) for i in range(X.shape[0])]
+    Z = np.array([cdf(law, x) for law, x in zip(laws, X)])
+    got = gof.edf_rows(Z, gof.EDF_TAGS)
+    for i, law in enumerate(laws):
+        F = lambda v: cdf(law, v)
+        for tag, scalar in [("ks", gof.ks), ("cvm", gof.cvm), ("ad", gof.ad),
+                            ("watson", gof.watson)]:
+            assert got[tag][i] == pytest.approx(scalar(X[i], F), rel=1e-13)
+        row = gof.edf_rows(Z[i:i + 1], gof.EDF_TAGS)
+        assert all(np.array_equal(row[tag][0], got[tag][i]) for tag in gof.EDF_TAGS)
+
+
+def test_edf_rows_ad_clamps_with_a_warning():
+    Z = np.array([[0.2, 0.4, 0.6, 0.8], [0.0, 0.3, 0.6, 1.0]])
+    with pytest.warns(RuntimeWarning):
+        got = gof.edf_rows(Z, ("ad",))["ad"]
+    bad = lambda x: np.asarray([0.0, 0.3, 0.6, 1.0])
+    with pytest.warns(RuntimeWarning):
+        assert got[1] == pytest.approx(gof.ad([1.0, 2.0, 3.0, 4.0], bad), rel=1e-13)
+    assert np.all(np.isfinite(got))
 
 
 def test_watson_below_cvm_for_shifted_cdf():

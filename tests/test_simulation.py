@@ -158,9 +158,9 @@ def test_config_json_serializable():
 def test_programming_errors_are_not_counted_as_failed_replicates(monkeypatch, share):
     import steinfit.bootstrap as bs
 
-    def broken(family, stat, data, fit):
+    def broken(family, stats, X, params):
         raise ZeroDivisionError("a bug, not a failed fit")
 
-    monkeypatch.setattr(bs, "evaluate_statistic", broken)
+    monkeypatch.setattr(bs, "replicate_statistics", broken)
     with pytest.raises(ZeroDivisionError):
         run_power_study(small_config(mc_reps=1, share_bootstrap=share), workers=1)
