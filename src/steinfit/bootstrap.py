@@ -7,6 +7,9 @@ The critical value is the ceil((1-alpha)B)-th order statistic of the
 bootstrap values (the 90th of 100 at the default alpha = 0.1, B = 100) and
 the hypothesis is rejected when the observed statistic strictly exceeds it.
 
+A hypothesis family is one record of ``_FAMILIES``; the weighted-L2
+statistic is built from the score of its unit law, with no per-family code.
+
 The observed sample goes through the scalar route (``fit_family_retry``,
 ``evaluate_statistic``).  The B replicates of one sample are handled as
 (rows, n) matrices of at most BLOCK_DRAWS draws each: drawn with one
@@ -28,16 +31,15 @@ import numpy as np
 from . import gof
 # unused here; bench/tracer.py looks these up in this module's namespace
 from .characterization import empirical_T_min, empirical_T_zero_bias  # noqa: F401
-from .distributions import sample  # noqa: F401
+from .distributions import sample, score  # noqa: F401
 from .distributions import (
     DistributionSpec,
     RngStream,
     as_values,
+    catalog_rows,
     cdf,
-    cdf_rows,
     make_distribution,
     sample_rows,
-    score,
 )
 from .estimation import (
     FitError,
@@ -49,10 +51,6 @@ from .estimation import (
     normal_fit,
 )
 from .gof import StatisticId
-
-# hypothesis family -> catalog family of its fitted law (Burr XII at scale 1)
-_CATALOG = {"burr": "burr_xii", "gamma": "gamma", "normal": "normal"}
-FAMILIES = tuple(_CATALOG)
 
 MAX_FAILURE_FRACTION = 0.05
 # what fails one replicate; any other exception is a bug and propagates
@@ -102,31 +100,74 @@ class TestOutcome:
 
 
 # --------------------------------------------------------------------------
-# Family adapters
+# Hypothesis families
 # --------------------------------------------------------------------------
 
-def fit_family(family: str, x) -> FitResult:
-    if family == "burr":
-        return burr_mle(x)
-    if family == "gamma":
-        return gamma_fit(x)
-    if family == "normal":
-        return normal_fit(x)
-    raise ValueError(f"unknown hypothesis family '{family}'; known: {FAMILIES}")
+@dataclass(frozen=True)
+class _Family:
+    law: str  # catalog family of the fitted law (Burr XII at scale 1)
+    operator: str  # the unit law's operator variant: positive_axis_min or real_line
+    fit: Callable  # sample -> FitResult
+    fit_rows: Callable  # (X, fit) -> ((rows,) array per parameter, rows ``fit`` would fit)
+    unit: Callable  # fit params -> (shift, scale, params of the unit law)
+
+
+def _burr_rows(X: np.ndarray, fit: FitResult):
+    # burr_mle raises FitError on these rows
+    ok = np.all(np.isfinite(X) & (X > 0), axis=1)
+    ok[ok] = np.ptp(X[ok], axis=1) > 0
+    rows = np.flatnonzero(ok)
+    params = {"k": np.full(X.shape[0], math.nan), "c": np.full(X.shape[0], math.nan)}
+    params["k"][rows], params["c"][rows], converged = burr_mle_rows(X[rows], fit.params["c"])
+    for i in rows[~converged]:
+        try:
+            fb = fit_family_retry("burr", X[i])
+        except REPLICATE_ERRORS:
+            ok[i] = False
+            continue
+        ok[i] = fb.converged
+        params["k"][i], params["c"][i] = fb.params["k"], fb.params["c"]
+    return params, ok
+
+
+def _gamma_rows(X: np.ndarray, fit: FitResult):
+    mean, var = moments_rows(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        params = {"k": mean * mean / var, "lam": var / mean}
+    return params, np.all(X > 0, axis=1) & (var != 0.0)
+
+
+def _normal_rows(X: np.ndarray, fit: FitResult):
+    mean, var = moments_rows(X)
+    return {"mu": mean, "sigma2": var}, var != 0.0
+
+
+# the estimators are looked up in this module at call time, where the tests
+# and bench/tracer.py replace them
+_FAMILIES = {
+    "burr": _Family("burr_xii", "positive_axis_min", lambda x: burr_mle(x), _burr_rows,
+                    lambda p: (0.0, 1.0, {"k": p["k"], "c": p["c"]})),
+    "gamma": _Family("gamma", "positive_axis_min", lambda x: gamma_fit(x), _gamma_rows,
+                     lambda p: (0.0, p["lam"], {"k": p["k"], "lam": 1.0})),
+    "normal": _Family("normal", "real_line", lambda x: normal_fit(x), _normal_rows,
+                      lambda p: (p["mu"], math.sqrt(p["sigma2"]), {"mu": 0.0, "sigma2": 1.0})),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown hypothesis family '{name}'; known: {tuple(_FAMILIES)}")
+    return _FAMILIES[name]
 
 
 def fit_family_retry(family: str, x) -> FitResult:
-    """Fit, retrying once from a widened search bracket on non-convergence."""
-    fit = fit_family(family, x)
-    if fit.converged or family != "burr":
-        return fit
-    return burr_mle(x, c_bracket=(1e-5, 1e5))
+    """Fit ``x`` by the family's estimator; burr_mle widens its own c-bracket."""
+    return _family(family).fit(x)
 
 
 def fitted_distribution(family: str, fit: FitResult) -> DistributionSpec:
-    if family not in _CATALOG:
-        raise ValueError(f"unknown hypothesis family '{family}'")
-    return make_distribution(_CATALOG[family], **fit.params)
+    return make_distribution(_family(family).law, **fit.params)
 
 
 def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> float:
@@ -154,55 +195,21 @@ def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> flo
 
 
 def _l2_statistic(family: str, a: float, x: np.ndarray, params: dict) -> float:
-    if family == "burr":
-        pieces = gof.min_pieces(x, gof.burr_coefficients(x, params["k"], params["c"])[0])
-    elif family == "gamma":
-        y = x / params["lam"]
-        unit = make_distribution("gamma", k=params["k"], lam=1.0)
-        pieces = gof.min_pieces(y, -score(unit, y))
-    elif family == "normal":
-        sd = math.sqrt(params["sigma2"])
-        if sd == 0.0:
-            raise FitError("zero variance: cannot standardize")
-        pieces = gof.zero_bias_pieces((x - params["mu"]) / sd)
-    else:
-        raise ValueError(f"unknown hypothesis family '{family}'")
-    return gof.generic_L2(*pieces, a, x.size)
+    """The weighted-L2 statistic of the unit law's operator, from its score."""
+    rec = _family(family)
+    shift, scale, unit = rec.unit(params)
+    y = np.sort((x - shift) / scale)
+    min_type = rec.operator == "positive_axis_min"
+    if min_type and not y[0] > 0:  # checked before the score divides by y
+        raise ValueError("observations must be positive and finite")
+    s = catalog_rows(rec.law, "score", unit, y)
+    pieces = gof.min_pieces(y, -s) if min_type else gof.real_line_pieces(y, s)
+    return gof.generic_L2(*pieces, a, y.size)
 
 
 # --------------------------------------------------------------------------
 # Batched replicates
 # --------------------------------------------------------------------------
-
-def _fit_rows(family: str, X: np.ndarray, fit: FitResult):
-    """Re-fit every row of X: (params, ok), where params maps each parameter
-    name to a (rows,) array and ok marks the rows that fit_family_retry
-    would fit with convergence."""
-    if family == "burr":
-        # burr_mle raises FitError on these rows
-        ok = np.all(np.isfinite(X) & (X > 0), axis=1)
-        ok[ok] = np.ptp(X[ok], axis=1) > 0
-        rows = np.flatnonzero(ok)
-        params = {"k": np.full(X.shape[0], math.nan), "c": np.full(X.shape[0], math.nan)}
-        params["k"][rows], params["c"][rows], converged = burr_mle_rows(X[rows], fit.params["c"])
-        for i in rows[~converged]:
-            try:
-                fb = fit_family_retry(family, X[i])
-            except REPLICATE_ERRORS:
-                ok[i] = False
-                continue
-            ok[i] = fb.converged
-            params["k"][i], params["c"][i] = fb.params["k"], fb.params["c"]
-        return params, ok
-    mean, var = moments_rows(X)
-    if family == "gamma":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            params = {"k": mean * mean / var, "lam": var / mean}
-        return params, np.all(X > 0, axis=1) & (var != 0.0)
-    if family == "normal":
-        return {"mu": mean, "sigma2": var}, var != 0.0
-    raise ValueError(f"unknown hypothesis family '{family}'")
-
 
 def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.ndarray:
     """Every statistic on every row of X at that row's fit: a (rows,
@@ -223,7 +230,8 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
                                          [stats[i].a for i in b_cols])
     edf_tags = {stat.tag for stat in stats if stat.tag in gof.EDF_TAGS}
     if edf_tags:
-        z = cdf_rows(_CATALOG[family], {name: v[:, None] for name, v in params.items()}, X)
+        columns = {name: v[:, None] for name, v in params.items()}
+        z = catalog_rows(_family(family).law, "cdf", columns, X)
         edf = gof.edf_rows(z, edf_tags)
     for i, stat in enumerate(stats):
         if stat.tag in edf_tags:
@@ -271,7 +279,7 @@ def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
     for first in range(1, B + 1, rows):
         draws = sample_rows(fitted, x.size,
                             [stream(j) for j in range(first, min(first + rows, B + 1))])
-        params, ok = _fit_rows(family, draws, fit)
+        params, ok = _family(family).fit_rows(draws, fit)
         block = replicate_statistics(family, stats, np.sort(draws[ok], axis=1),
                                      {name: v[ok] for name, v in params.items()})
         blocks.append(block[np.all(np.isfinite(block), axis=1)])
@@ -289,8 +297,8 @@ def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
 
     Replicate j draws from the fitted law on the child stream ('rep', j), so
     results do not depend on evaluation order.  A replicate whose re-fit
-    fails is retried once from a widened bracket and then dropped; more than
-    5% dropped replicates aborts with a BootstrapError.
+    fails is dropped; more than 5% dropped replicates aborts with a
+    BootstrapError.
     """
     if B < 1:
         raise ValueError("B must be >= 1")

@@ -152,9 +152,6 @@ def _cmd_test(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.family in ("burr", "gamma") and min(values) <= 0:
-        print(f"error: family '{args.family}' needs positive data", file=sys.stderr)
-        return EXIT_INPUT
 
     try:
         outcome = bootstrap_test(values, args.family, stat, B=args.B, alpha=args.alpha,

@@ -567,13 +567,13 @@ def cdf(dist: DistributionSpec, x):
     return _scalarize(x, out)
 
 
-def cdf_rows(family: str, params: dict, X) -> np.ndarray:
-    """The catalog distribution function of ``family`` at X, for X inside the
-    support (nothing is clamped).  ``params`` maps parameter names to values
+def catalog_rows(family: str, fn: str, params: dict, X) -> np.ndarray:
+    """The catalog function ``fn`` ("cdf", "score", ...) of ``family`` at X
+    inside the support, unchecked.  ``params`` maps parameter names to values
     that broadcast against X, e.g. (rows, 1) columns holding one fit per row
     of a (rows, n) X; a parameter left out takes its default."""
     fam = _REGISTRY[family]
-    return fam.cdf({**fam.defaults, **params}, np.asarray(X, dtype=float))
+    return getattr(fam, fn)({**fam.defaults, **params}, np.asarray(X, dtype=float))
 
 
 def sf(dist: DistributionSpec, x):

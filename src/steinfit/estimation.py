@@ -66,16 +66,22 @@ def burr_loglik(x, k: float, c: float) -> float:
 
 # the search bracket for c of burr_mle (before any expansion) and of burr_mle_rows
 C_BRACKET = (1e-3, 1e3)
+# a fit ending this close to its bracket (in log c) is on the edge; bounded
+# Brent stops about sqrt(eps)*|log c| from a bound, well inside this
+ROWS_EDGE_TOL = 1e-6
+# burr_mle widens C_BRACKET tenfold per side at most this often (to 1e-7..1e7)
+MAX_EXPANSIONS = 4
 
 
-def burr_mle(s, c_bracket=C_BRACKET, xatol: float = 1e-10,
-             max_expansions: int = 2) -> FitResult:
+def burr_mle(s) -> FitResult:
     """Burr XII maximum likelihood via the profile in c.
 
     Maximizes the profiled log-likelihood over log(c) with a bounded Brent
-    search on [log 1e-3, log 1e3]; the bracket expands tenfold per side when
-    the maximizer lands on an edge, and an edge hit after the final
-    expansion is reported as non-convergence.
+    search on log(C_BRACKET); the bracket expands tenfold per side, at most
+    MAX_EXPANSIONS times, when the maximizer lands within ROWS_EDGE_TOL of an
+    edge, and an edge hit after the final expansion is reported as
+    non-convergence.
+    Raises FitError when k = n / sum log(1 + x^c) is not finite there.
     """
     x = as_values(s)
     if x.size < 2:
@@ -92,22 +98,29 @@ def burr_mle(s, c_bracket=C_BRACKET, xatol: float = 1e-10,
     def neg_profile(lc: float) -> float:
         c = math.exp(lc)
         t = np.logaddexp(0.0, c * logx).sum()
+        if t == 0.0:  # every x^c underflows: k(c) = n/t is not finite
+            return math.inf
         # l(k(c), c) with k(c) = n/t, using k(c)*t = n
         return -(n * lc + n * (math.log(n) - math.log(t)) + (c - 1) * sum_logx - n - t)
 
-    lo, hi = (math.log(b) for b in c_bracket)
+    lo, hi = (math.log(b) for b in C_BRACKET)
     nfev = 0
-    for expansion in range(max_expansions + 1):
-        res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol, "maxiter": 500})
+    for expansion in range(MAX_EXPANSIONS + 1):
+        # a +inf profile makes Brent's parabolic step nan; golden section is taken
+        with np.errstate(invalid="ignore"):
+            res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-10, "maxiter": 500})
         nfev += res.nfev
-        edge = min(res.x - lo, hi - res.x) < 10 * xatol + 1e-12
+        edge = min(res.x - lo, hi - res.x) < ROWS_EDGE_TOL
         if not edge:
             break
         lo -= math.log(10.0)
         hi += math.log(10.0)
     c_hat = math.exp(res.x)
-    k_hat = burr_profile_k(x, c_hat)
+    with np.errstate(divide="ignore", over="ignore"):
+        k_hat = burr_profile_k(x, c_hat)
+    if not math.isfinite(k_hat):
+        raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
     ll = burr_loglik(x, k_hat, c_hat)
     converged = bool(res.success) and not edge
     msg = "" if converged else "profile maximizer on the c-bracket edge after expansion"
@@ -115,8 +128,6 @@ def burr_mle(s, c_bracket=C_BRACKET, xatol: float = 1e-10,
                      loglik=ll, iterations=nfev, message=msg)
 
 
-# a batched fit ending this close to the bracket (in log c) is left to burr_mle
-ROWS_EDGE_TOL = 1e-6
 ROWS_UTOL = 1e-10  # a row is frozen once its step in log c falls below this
 ROWS_MAXITER = 100
 
@@ -131,8 +142,8 @@ def burr_mle_rows(X, c0: float):
     later iterations cannot move it off the root.  Returns arrays (k, c,
     converged), k = n / sum log(1 + x^c).  A row that has not converged
     after ROWS_MAXITER steps, or that ends within ROWS_EDGE_TOL of the
-    bracket, has converged False: burr_mle, with its bracket expansion,
-    decides it.
+    bracket (burr_mle's edge rule), has converged False: burr_mle, with its
+    bracket expansion, decides it.
     """
     L = np.log(np.asarray(X, dtype=float))
     rows, n = L.shape
@@ -211,15 +222,10 @@ def normal_fit(s) -> FitResult:
         raise FitError("normal_fit needs at least 2 observations")
     mean = float(np.mean(x))
     var = float(np.mean((x - mean) ** 2))
-    result = FitResult(params={"mu": mean, "sigma2": var}, converged=True, iterations=0)
     if var == 0.0:
-        result.converged = False
-        result.message = "zero variance: standardization impossible"
-        result.loglik = math.inf
-        return result
-    n = x.size
-    result.loglik = float(-0.5 * n * (math.log(2 * math.pi * var) + 1.0))
-    return result
+        raise FitError("degenerate sample: zero variance")
+    loglik = float(-0.5 * x.size * (math.log(2 * math.pi * var) + 1.0))
+    return FitResult(params={"mu": mean, "sigma2": var}, converged=True, loglik=loglik)
 
 
 def moments_rows(X):

@@ -179,7 +179,7 @@ def _row_dot(u, v):
 def burr_B_quadrature(s, k_hat: float, c_hat: float, a: float) -> float:
     """Oracle evaluation of B_{n,a} by generic_L2's exact piecewise
     integration; the only error is floating-point accumulation."""
-    x = as_values(s)
+    x = np.sort(as_values(s))
     if not (a > 0 and k_hat > 0 and c_hat > 0):
         raise ValueError("burr_B_quadrature needs a, k_hat, c_hat > 0")
     return generic_L2(*min_pieces(x, burr_coefficients(x, k_hat, c_hat)[0]), a, x.size)
@@ -200,24 +200,29 @@ def _burr_B_adaptive(s, k_hat, c_hat, a):
 
 def min_pieces(x, coef):
     """generic_L2 pieces of the min-type operator n*T_n(t) = sum_j coef_j
-    min(x_j, t) on positive x: they start at 0 and at each order statistic."""
+    min(x_j, t) on sorted positive x: they start at 0 and at each order statistic."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
+    if not np.isfinite(x).all() or (x <= 0).any():
         raise ValueError("observations must be positive and finite")
-    order = np.argsort(x, kind="stable")
-    x, coef = x[order], np.asarray(coef, dtype=float)[order]
+    if (x[1:] < x[:-1]).any():
+        raise ValueError("observations must be sorted")
+    coef = np.asarray(coef, dtype=float)
     alpha = np.concatenate(([0.0], np.cumsum(coef * x))) - np.arange(x.size + 1)
     return np.concatenate(([0.0], x)), alpha, np.append(np.cumsum(coef[::-1])[::-1], 0.0)
 
 
-def zero_bias_pieces(y):
-    """generic_L2 pieces of the standard normal's zero-bias operator
-    n*T_n(t) = sum_{y_j <= t} y_j (y_j - t): they start at each order
-    statistic, as the deviation vanishes below the smallest."""
-    y = np.sort(np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(y)):
+def real_line_pieces(y, score):
+    """generic_L2 pieces of the real-line operator n*T_n(t) = sum_{y_j <= t}
+    score_j (t - y_j) on sorted y: they start at each order statistic, as
+    the deviation vanishes below the smallest.  The standard normal's
+    zero-bias operator is the case score = -y."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
         raise ValueError("observations must be finite")
-    return y, np.cumsum(y * y) - np.arange(1, y.size + 1), -np.cumsum(y)
+    if (y[1:] < y[:-1]).any():
+        raise ValueError("observations must be sorted")
+    score = np.asarray(score, dtype=float)
+    return y, -np.cumsum(score * y) - np.arange(1, y.size + 1), np.cumsum(score)
 
 
 def generic_L2(t0, alpha, beta, a: float, n: int) -> float:

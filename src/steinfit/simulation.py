@@ -237,7 +237,7 @@ class PowerStudyReport:
 def _run_one_replicate(cfg: PowerStudyConfig, alt_label: str, alt: DistributionSpec,
                        rep: int):
     """One Monte Carlo replicate: either a dict {stat_label: reject} or None
-    when the replicate failed (fit breakdown past the retry)."""
+    when the replicate failed (fit breakdown)."""
     root = RngStream(cfg.seed).child("alt", alt_label, "rep", rep)
     x = sample(alt, cfg.n, root.child("data")).values
     try:

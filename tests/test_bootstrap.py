@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from steinfit.bootstrap import (
+    _FAMILIES,
+    FAMILIES,
     BootstrapError,
-    _fit_rows,
     bootstrap_replicates,
     bootstrap_test,
     critical_rank,
@@ -15,9 +16,10 @@ from steinfit.bootstrap import (
     fitted_distribution,
     replicate_statistics,
 )
+from steinfit.characterization import default_operator
 from steinfit.distributions import RngStream, make_distribution, sample
 from steinfit.estimation import FitError
-from steinfit.gof import StatisticId
+from steinfit.gof import StatisticId, burr_B_quadrature
 
 
 def burr_data(n=100, k=1.0, c=1.0, seed=42):
@@ -287,8 +289,11 @@ def test_underflow_parity_cases_do_fail_rows():
 def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
     import steinfit.bootstrap as bs
     # rows: an ordinary one; two whose profile rises past c = 1e3 (the
-    # batched fit leaves them to burr_mle); an underflowed draw, an
-    # overflowed draw and a constant row (burr_mle raises FitError)
+    # batched fit leaves them to burr_mle, which widens its bracket, fits
+    # the first at c = 3135 and leaves the near-constant one on the edge of
+    # its widest bracket, c = 1e7); an underflowed draw, an overflowed draw
+    # and a constant row (burr_mle raises FitError)
+    _fit_rows = _FAMILIES["burr"].fit_rows
     base = burr_data(n=30, k=1.0, c=2.0, seed=41)
     X = np.array([base, burr_data(n=30, k=1.0, c=3000.0, seed=42), 1.0 + 1e-9 * np.arange(30.0),
                   np.where(base == base.min(), 0.0, base),
@@ -302,9 +307,9 @@ def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
         return orig(family, x)
 
     monkeypatch.setattr(bs, "fit_family_retry", spy)
-    params, ok = _fit_rows("burr", X, fit)
+    params, ok = _fit_rows(X, fit)
     assert np.array_equal(np.array(fallback), X[1:3])
-    assert ok.tolist() == [True, True, True, False, False, False]
+    assert ok.tolist() == [True, True, False, False, False, False]
     for i in (1, 2):
         ref = orig("burr", X[i])
         assert (params["k"][i], params["c"][i]) == (ref.params["k"], ref.params["c"])
@@ -312,14 +317,14 @@ def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
     # a fallback fit that does not converge fails its row
     monkeypatch.setattr(bs, "fit_family_retry",
                         lambda family, x: dataclasses.replace(orig(family, x), converged=False))
-    assert _fit_rows("burr", X, fit)[1].tolist() == [True, False, False, False, False, False]
+    assert _fit_rows(X, fit)[1].tolist() == [True, False, False, False, False, False]
 
     # so does one that raises, as the scalar loop dropped such a replicate
     def raises(family, x):
         raise ValueError("math domain error")
 
     monkeypatch.setattr(bs, "fit_family_retry", raises)
-    assert _fit_rows("burr", X, fit)[1].tolist() == [True, False, False, False, False, False]
+    assert _fit_rows(X, fit)[1].tolist() == [True, False, False, False, False, False]
 
 
 @pytest.mark.parametrize("family, data, stats", [
@@ -355,3 +360,50 @@ def test_blocks_leave_the_replicates_unchanged(monkeypatch, family, x, stats, fa
     assert (failed > 0) == fails
     assert failed_blocked == failed
     assert np.array_equal(blocked, whole)
+
+
+# --------------------------------------------------------------------------
+# The family table
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_operator_is_the_unit_laws_default(family):
+    data = {"burr": burr_data(n=40, k=1.3, c=1.7, seed=71),
+            "gamma": sample(make_distribution("gamma", k=2, lam=3), 40, RngStream(72)).values,
+            "normal": sample(make_distribution("normal", mu=1, sigma2=4), 40,
+                             RngStream(73)).values}[family]
+    record = _FAMILIES[family]
+    assert record.operator == default_operator(
+        fitted_distribution(family, fit_family_retry(family, data))).variant
+    _, _, unit = record.unit(fit_family_retry(family, data).params)
+    assert record.operator == default_operator(make_distribution(record.law, **unit)).variant
+
+
+def test_a_copied_family_record_gives_the_same_test(monkeypatch):
+    import steinfit.bootstrap as bs
+    monkeypatch.setitem(bs._FAMILIES, "normal_copy", bs._FAMILIES["normal"])
+    z = sample(make_distribution("normal", mu=1, sigma2=4), 50, RngStream(74)).values
+    for stat in (StatisticId("generic_L2", a=1.0), StatisticId("ad")):
+        ref = bootstrap_test(z, "normal", stat, B=40, alpha=0.1, rng=RngStream(8)).to_dict()
+        got = bootstrap_test(z, "normal_copy", stat, B=40, alpha=0.1, rng=RngStream(8)).to_dict()
+        assert got.pop("family") == "normal_copy"
+        ref.pop("family")
+        assert got == ref
+
+
+def test_unknown_family_raises_value_error():
+    x = burr_data(n=20, seed=1)
+    with pytest.raises(ValueError, match="unknown hypothesis family"):
+        bootstrap_test(x, "weibull", StatisticId("cvm"), B=10, rng=RngStream(1))
+    with pytest.raises(ValueError, match="unknown hypothesis family"):
+        fitted_distribution("weibull", fit_family_retry("burr", x))
+
+
+def test_burr_l2_through_the_table_equals_the_quadrature_oracle():
+    for seed in range(5):
+        x = burr_data(n=40, k=1.3, c=1.7, seed=80 + seed)
+        fit = fit_family_retry("burr", x)
+        for a in (0.25, 1.0, 3.0):
+            got = evaluate_statistic("burr", StatisticId("generic_L2", a=a), x, fit)
+            assert got == pytest.approx(
+                burr_B_quadrature(x, fit.params["k"], fit.params["c"], a), rel=1e-12)

@@ -123,6 +123,38 @@ def test_cmd_test_negative_data_for_burr_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, stat, values", [
+    ("burr", "B", [2.0] * 5),
+    ("gamma", "L2", [2.0] * 5),
+    ("normal", "L2", [2.0] * 5),
+    ("gamma", "ks", [1.0, -2.0, 3.0]),
+])
+def test_cmd_test_unfittable_data_exit_2(tmp_path, capsys, family, stat, values):
+    # constant data, and negative data for gamma: the estimator's FitError
+    path = tmp_path / "data.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    code = main(["test", "--data", str(path), "--family", family, "--stat", stat,
+                 "--a", "1", "--B", "10", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_cmd_test_underflowing_burr_data_named_error(tmp_path, capsys):
+    # every x^c underflows at some c the Burr fit tries; 1e-30 data are
+    # still tested, 1e-200 data leave k not finite at the maximizer
+    for scale, want in ((1e-30, 0), (1e-200, 2)):
+        x = np.random.default_rng(0).uniform(scale / 100, scale, 50)
+        path = tmp_path / "tiny.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in x))
+        code = main(["test", "--data", str(path), "--family", "burr", "--stat", "B",
+                     "--a", "3", "--B", "20", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert "math domain error" not in err
+        assert code == want
+    assert "not finite" in err
+
+
 def test_cmd_test_byte_identical_reruns(burr_file):
     code1, out1, _ = run_cli(["test", "--data", burr_file, "--family", "burr",
                               "--stat", "cvm", "--B", "30", "--seed", "7"])

@@ -156,6 +156,49 @@ def test_moments_rows_bit_identical_to_fits():
         assert (z.params["mu"], z.params["sigma2"]) == (mean[i], var[i])
 
 
+def test_burr_mle_widens_its_bracket_past_an_edge():
+    # the profile still rises at c = 1e3: bounded Brent stops about 1.5e-7
+    # (in log c) short of the bound, which the edge rule must catch
+    x = draw("burr_xii", 80, 42, k=1.0, c=3000.0)
+    fit = burr_mle(x)
+    assert fit.converged
+    assert fit.params["c"] == pytest.approx(3330, rel=1e-3)
+    assert fit.loglik == pytest.approx(489.19, abs=5e-3)
+    assert fit.loglik > _profile(x, math.log(1e3)) + 1.0
+    # the widest bracket is 1e-7..1e7; a maximizer past it is reported
+    edge = burr_mle(1.0 + 1e-9 * np.arange(30.0))
+    assert not edge.converged
+    assert edge.params["c"] == pytest.approx(1e7, rel=1e-5)
+
+
+def _profile_grid_max(x):
+    """Maximum of the Burr profile log-likelihood over a fine log-c grid,
+    where k(c) = n / sum log(1 + x^c) is finite."""
+    logx, n = np.log(x), x.size
+    best = -math.inf
+    for u in np.linspace(math.log(1e-3), math.log(1e3), 20001):
+        t = np.logaddexp(0.0, math.exp(u) * logx).sum()
+        if t > n / np.finfo(float).max:
+            best = max(best, n * u + n * (math.log(n) - math.log(t))
+                       + (math.exp(u) - 1) * logx.sum() - n - t)
+    return best
+
+
+def test_burr_mle_on_underflowing_data():
+    # every x^c underflows to 0 for c above about 10 at these scales
+    for scale in (1e-30, 1e-100):
+        for seed in range(3):
+            x = np.random.default_rng(seed).uniform(scale / 100, scale, 50)
+            fit = burr_mle(x)
+            assert fit.converged and math.isfinite(fit.params["k"])
+            assert fit.loglik >= _profile_grid_max(x) - 1e-6
+    # here k = n / sum log(1 + x^c) overflows at the profile's maximizer
+    for seed in range(3):
+        x = np.random.default_rng(seed).uniform(1e-202, 1e-200, 50)
+        with pytest.raises(FitError, match="not finite"):
+            burr_mle(x)
+
+
 def test_burr_mle_input_validation():
     with pytest.raises(FitError):
         burr_mle([1.0])
@@ -228,9 +271,8 @@ def test_normal_fit_hand_values():
 
 
 def test_normal_fit_zero_variance_flagged():
-    fit = normal_fit([3.0, 3.0])
-    assert not fit.converged
-    assert fit.params["sigma2"] == 0.0
+    with pytest.raises(FitError, match="zero variance"):
+        normal_fit([3.0, 3.0])
 
 
 def test_normal_standardization_exact():

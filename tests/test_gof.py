@@ -228,9 +228,14 @@ def test_piece_builders_reject_non_finite_data():
         with pytest.raises(ValueError):
             gof.min_pieces([1.0, bad], [1.0, 1.0])
         with pytest.raises(ValueError):
-            gof.zero_bias_pieces([-1.0, bad])
+            gof.real_line_pieces([-1.0, bad], [1.0, 1.0])
     with pytest.raises(ValueError):
         gof.min_pieces([1.0, -2.0], [1.0, 1.0])
+    # the builders take sorted input; unsorted input is refused, not mis-integrated
+    with pytest.raises(ValueError, match="sorted"):
+        gof.min_pieces([2.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="sorted"):
+        gof.real_line_pieces([1.0, -1.0], [1.0, 1.0])
 
 
 def test_generic_L2_burr_route_equals_B():
