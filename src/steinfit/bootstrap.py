@@ -10,14 +10,15 @@ the hypothesis is rejected when the observed statistic strictly exceeds it.
 A hypothesis family is one record of ``_FAMILIES``; the weighted-L2
 statistic is built from the score of its unit law, with no per-family code.
 
-The observed sample goes through the scalar route (``fit_family_retry``,
-``evaluate_statistic``).  The B replicates of one sample are handled as
-(rows, n) matrices of at most BLOCK_DRAWS draws each: drawn with one
-quantile call, re-fitted together (Burr rows by ``estimation.burr_mle_rows``,
-with ``burr_mle`` deciding the rows it leaves unconverged; gamma and normal
-rows by their moment estimators), and scored by one kernel call per kind of
-statistic (``replicate_statistics``).  Every row's result is independent of
-the block it falls in.
+The observed sample is fitted by ``fit_family_retry`` and scored by
+``evaluate_statistic``, as one row of the replicates' kernels.  The B
+replicates of one sample are handled as (rows, n) matrices of at most
+BLOCK_DRAWS draws each: drawn with one quantile call, re-fitted together
+(Burr rows by ``estimation.burr_mle_rows``, with ``burr_mle`` deciding the
+rows it leaves unconverged; gamma and normal rows by their moment
+estimators), and scored by one kernel call per kind of statistic
+(``replicate_statistics``).  Every row's result is independent of the block
+it falls in, so each statistic has one formula, whichever sample it scores.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ import numpy as np
 from . import gof
 # unused here; bench/tracer.py looks these up in this module's namespace
 from .characterization import empirical_T_min, empirical_T_zero_bias  # noqa: F401
-from .distributions import sample, score  # noqa: F401
+from .distributions import cdf, sample, score  # noqa: F401
 from .distributions import (
     DistributionSpec,
     RngStream,
     as_values,
     catalog_rows,
-    cdf,
     make_distribution,
     sample_rows,
 )
@@ -171,27 +171,14 @@ def fitted_distribution(family: str, fit: FitResult) -> DistributionSpec:
 
 
 def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> float:
-    """Compute one statistic on a sample given the family fit."""
+    """Compute one statistic on a sample given the family fit, by the
+    replicates' kernels: the L2 statistic by ``_l2_statistic``, every other
+    one as the one-row case of ``replicate_statistics``."""
     x = as_values(x)
-    if stat.tag == "burr_B":
-        if family != "burr":
-            raise ValueError("the burr_B statistic applies to the burr family only")
-        return gof.burr_B_closed(x, fit.params["k"], fit.params["c"], stat.a)
-
     if stat.tag == "generic_L2":
         return _l2_statistic(family, stat.a, x, fit.params)
-
-    fitted = fitted_distribution(family, fit)
-    F = lambda v: cdf(fitted, v)
-    if stat.tag == "ks":
-        return gof.ks(x, F, sqrt_n=stat.sqrt_n)
-    if stat.tag == "cvm":
-        return gof.cvm(x, F)
-    if stat.tag == "ad":
-        return gof.ad(x, F)
-    if stat.tag == "watson":
-        return gof.watson(x, F)
-    raise ValueError(f"unknown statistic tag '{stat.tag}'")
+    params = {name: np.array([value], dtype=float) for name, value in fit.params.items()}
+    return float(replicate_statistics(family, [stat], np.sort(x)[None], params)[0, 0])
 
 
 def _l2_statistic(family: str, a: float, x: np.ndarray, params: dict) -> float:

@@ -24,7 +24,6 @@ import sys
 from .bootstrap import FAMILIES, BootstrapError, bootstrap_test
 from .characterization import QuadratureError, check_conditions, default_operator, fixed_point_residual
 from .distributions import DomainError, ParameterError, RngStream, make_distribution
-from .estimation import FitError
 from .gof import STAT_NAMES, StatisticId
 from .simulation import ConfigError, config_from_dict, config_hash, render_table, run_power_study
 
@@ -156,10 +155,10 @@ def _cmd_test(args) -> int:
     try:
         outcome = bootstrap_test(values, args.family, stat, B=args.B, alpha=args.alpha,
                                  rng=RngStream(args.seed, args.stream))
-    except (FitError, ValueError) as exc:
+    except ValueError as exc:  # a FitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BootstrapError, QuadratureError, FloatingPointError) as exc:
+    except (BootstrapError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

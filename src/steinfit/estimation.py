@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .distributions import as_values
+from .distributions import as_values, log_likelihood, make_distribution
 
 
 class FitError(ValueError):
@@ -210,7 +210,6 @@ def gamma_fit(s) -> FitResult:
         raise FitError("degenerate sample: zero variance")
     k = mean * mean / var
     lam = var / mean
-    from .distributions import log_likelihood, make_distribution
     ll = log_likelihood(make_distribution("gamma", k=k, lam=lam), x)
     return FitResult(params={"k": k, "lam": lam}, converged=True, loglik=ll, iterations=0)
 

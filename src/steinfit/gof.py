@@ -9,11 +9,16 @@ specialized to the Burr Type XII family where it has a closed form, plus
 one exact piecewise integrator for every weighted-L2 statistic, and the
 four classical EDF statistics (Kolmogorov-Smirnov, Cramer-von Mises,
 Anderson-Darling, Watson) computed from a fitted CDF.
+
+B_{n,a} and the EDF statistics each have one implementation, a kernel over
+the rows of a matrix of samples (burr_B_rows, edf_rows); burr_B_closed and
+ks/cvm/ad/watson are its one-row case.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -50,8 +55,9 @@ class StatisticId:
         if self.tag not in STAT_TAGS:
             raise ValueError(f"unknown statistic tag '{self.tag}'; known: {STAT_TAGS}")
         if self.tag in ("burr_B", "generic_L2"):
-            if self.a is None or not self.a > 0:
-                raise ValueError(f"statistic '{self.tag}' needs a weight parameter a > 0")
+            if not _weight_ok(self.a):
+                raise ValueError(f"statistic '{self.tag}' needs a real weight parameter "
+                                 f"a > 0 with a**3 positive and finite, got {self.a!r}")
         elif self.a is not None:
             raise ValueError(f"statistic '{self.tag}' takes no weight parameter")
         if self.sqrt_n and self.tag != "ks":
@@ -64,6 +70,16 @@ class StatisticId:
         if self.tag == "generic_L2":
             return f"L2_{_trim(self.a)}"
         return {"ks": "KS", "cvm": "CM", "ad": "AD", "watson": "WA"}[self.tag]
+
+
+def _weight_ok(a) -> bool:
+    # the statistics divide by a**3, and a float power that overflows raises
+    if not isinstance(a, numbers.Real) or isinstance(a, bool) or not a > 0:
+        return False
+    try:
+        return 0.0 < float(a) ** 3 < math.inf
+    except OverflowError:
+        return False
 
 
 def _trim(a: float) -> str:
@@ -91,7 +107,8 @@ def burr_coefficients(x, k_hat: float, c_hat: float):
 
 
 def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
-    """Closed-form evaluation of the Burr statistic B_{n,a}.
+    """Closed-form evaluation of the Burr statistic B_{n,a}: the one-row
+    case of burr_B_rows.
 
     This is the double-sum formula over order statistics, evaluated through
     prefix sums (an algebraic regrouping of the pair sum, O(n) flops) with
@@ -100,39 +117,16 @@ def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
     better than 1e-8 relative; the quadrature route stays the authority.
     """
     x = np.sort(as_values(s))
-    n = x.size
     if not (a > 0 and k_hat > 0 and c_hat > 0):
         raise ValueError("burr_B_closed needs a, k_hat, c_hat > 0")
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("observations must be positive and finite")
-    A1, A2 = burr_coefficients(x, k_hat, c_hat)
-    e = np.exp(-a * x)
-    one_m_e = -np.expm1(-a * x)
-
-    # pair block: sum_{j<l} A1_l * bracket_j + A2_j/a * e_l, via prefix sums
-    inner = (2.0 * A1 / a ** 3) * one_m_e + (A2 / a ** 2) * e \
-        + ((c_hat - 2.0) / a ** 2) * e - (x / a) * e
-    csum_inner = np.concatenate(([0.0], np.cumsum(inner)[:-1]))
-    csum_A2 = np.concatenate(([0.0], np.cumsum(A2)[:-1]))
-    off = (2.0 / n) * (A1 @ csum_inner
-                       + (A1 * e) @ csum_A2 / a ** 2
-                       + (e @ csum_A2) / a)
-
-    # diagonal block; the bracket (2/a^3)(1 - e(1 + ax + (ax)^2/2)) + ... is
-    # evaluated as a regularized incomplete gamma plus a positive remainder
-    diag_bracket = (2.0 / a ** 3) * sp.gammainc(3.0, a * x) + (x * x / a) * e
-    j0 = np.arange(n, dtype=float)
-    diag = (1.0 / n) * ((A1 * A1) @ diag_bracket
-                        + (2.0 * c_hat / a ** 2) * ((j0 * A1) @ e)
-                        + (2.0 / a) * (A2 @ e))
-
-    single = (2.0 * c_hat / (a * n)) * ((j0 + 1.0) @ e) - e.sum() / (a * n)
-    return float(off + diag + single)
+    return float(burr_B_rows(x[None], [k_hat], [c_hat], [a])[0, 0])
 
 
 def burr_B_rows(X, k_hat, c_hat, a_values):
-    """burr_B_closed of every row of X at that row's fit, for each a-value:
-    a (rows, len(a_values)) array.
+    """B_{n,a} of every row of X at that row's fit, for each a-value: a
+    (rows, len(a_values)) array.
 
     X holds sorted, positive, finite rows; k_hat and c_hat hold one value
     per row.  The Burr coefficients and the A2 prefix sums are computed once
@@ -171,8 +165,8 @@ def _prefix_sums(v):
 
 def _row_dot(u, v):
     """Dot product of each row of u with the same row of v (or with v itself
-    when v is 1-d), made by the BLAS dot that ``@`` uses on one row, so each
-    value is bit-identical to that of the one-row formula."""
+    when v is 1-d), made by the BLAS dot that ``@`` uses on one row, so a
+    row's value does not depend on the rest of the batch."""
     return np.matmul(u[:, None, :], v[..., None])[:, 0, 0]
 
 
@@ -270,53 +264,32 @@ def _L2_adaptive(deviation, x, a, lo):
 # Classical EDF statistics
 # --------------------------------------------------------------------------
 
-def _fitted_values(s, F):
-    x = np.sort(as_values(s))
-    return np.asarray(F(x), dtype=float), x.size
+def _edf_row(x, F, tag: str) -> float:
+    """One EDF statistic of sample x for a fitted CDF F: the one-row case of
+    edf_rows, with F evaluated once at the order statistics."""
+    return float(edf_rows(np.asarray(F(np.sort(x)), dtype=float)[None], (tag,))[tag][0])
 
 
 def ks(s, F, sqrt_n: bool = False) -> float:
     """Kolmogorov-Smirnov statistic max{D+, D-} for a fitted CDF F."""
-    z, n = _fitted_values(s, F)
-    j = np.arange(1, n + 1)
-    d_plus = np.max(j / n - z)
-    d_minus = np.max(z - (j - 1) / n)
-    val = max(d_plus, d_minus)
-    return float(val * math.sqrt(n)) if sqrt_n else float(val)
+    x = as_values(s)
+    val = _edf_row(x, F, "ks")
+    return val * math.sqrt(x.size) if sqrt_n else val
 
 
 def cvm(s, F) -> float:
-    """Cramer-von Mises statistic 1/(12n) + sum (F(X_(j)) - (2j-1)/(2n))^2."""
-    z, n = _fitted_values(s, F)
-    return float(_cvm(z, n))
-
-
-def _cvm(z, n):
-    j = np.arange(1, n + 1)
-    return 1.0 / (12 * n) + np.sum((z - (2 * j - 1) / (2 * n)) ** 2)
+    """Cramer-von Mises statistic for a fitted CDF F."""
+    return _edf_row(as_values(s), F, "cvm")
 
 
 def ad(s, F) -> float:
-    """Anderson-Darling statistic.
-
-    Fitted CDF values at extreme order statistics can round to 0 or 1; they
-    are clamped to [1e-15, 1-1e-15] before taking logs, and a warning is
-    emitted when clamping actually occurs.
-    """
-    z, n = _fitted_values(s, F)
-    if np.any(z <= 0.0) or np.any(z >= 1.0):
-        warnings.warn("fitted CDF values clamped away from {0,1} in the AD statistic",
-                      RuntimeWarning, stacklevel=2)
-    z = np.clip(z, AD_CLAMP, 1.0 - AD_CLAMP)
-    j = np.arange(1, n + 1)
-    s_sum = np.sum((2 * j - 1) * np.log(z) + (2 * (n - j) + 1) * np.log1p(-z))
-    return float(-n - s_sum / n)
+    """Anderson-Darling statistic for a fitted CDF F, clamped as in edf_rows."""
+    return _edf_row(as_values(s), F, "ad")
 
 
 def watson(s, F) -> float:
-    """Watson statistic CM - n (mean(F(X_(j))) - 1/2)^2."""
-    z, n = _fitted_values(s, F)
-    return float(_cvm(z, n) - n * (np.mean(z) - 0.5) ** 2)
+    """Watson statistic for a fitted CDF F."""
+    return _edf_row(as_values(s), F, "watson")
 
 
 EDF_TAGS = ("ks", "cvm", "ad", "watson")
@@ -325,8 +298,14 @@ EDF_TAGS = ("ks", "cvm", "ad", "watson")
 def edf_rows(z, tags) -> dict:
     """The EDF statistics named in ``tags`` for every row of z, where row i
     holds a fitted CDF at the order statistics of sample i: {tag: (rows,)
-    array}, KS unscaled.  Watson reuses the CvM of the same rows; AD clamps
-    and warns as ``ad`` does."""
+    array}, KS unscaled.
+
+    KS is max{D+, D-}; CvM is 1/(12n) + sum (F(X_(j)) - (2j-1)/(2n))^2;
+    Watson is CvM - n (mean(F(X_(j))) - 1/2)^2, from the CvM of the same
+    rows.  For AD, fitted CDF values at extreme order statistics can round
+    to 0 or 1; they are clamped to [AD_CLAMP, 1 - AD_CLAMP] before taking
+    logs, with a warning when clamping actually occurs.
+    """
     z = np.asarray(z, dtype=float)
     n = z.shape[1]
     j = np.arange(1, n + 1)

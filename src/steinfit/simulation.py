@@ -18,6 +18,7 @@ other alternatives appear in the config.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -179,7 +180,6 @@ def config_to_dict(cfg: PowerStudyConfig) -> dict:
 
 
 def config_hash(cfg: PowerStudyConfig) -> str:
-    import json
     text = json.dumps(config_to_dict(cfg), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

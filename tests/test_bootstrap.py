@@ -26,6 +26,27 @@ def burr_data(n=100, k=1.0, c=1.0, seed=42):
     return sample(make_distribution("burr_xii", k=k, c=c), n, RngStream(seed)).values
 
 
+def on_replicate_block(monkeypatch, wrap):
+    """Send bootstrap_replicates' replicate-block calls of
+    replicate_statistics to ``wrap(family, stats, X, params)``; the observed
+    sample's one-row calls, made inside evaluate_statistic, reach the kernel
+    unchanged."""
+    import steinfit.bootstrap as bs
+    kernel, evaluate = bs.replicate_statistics, bs.evaluate_statistic
+    observed = []
+
+    def evaluate_observed(*args):
+        observed.append(True)
+        try:
+            return evaluate(*args)
+        finally:
+            observed.pop()
+
+    monkeypatch.setattr(bs, "evaluate_statistic", evaluate_observed)
+    monkeypatch.setattr(bs, "replicate_statistics",
+                        lambda *args: kernel(*args) if observed else wrap(*args))
+
+
 def test_critical_rank_matches_procedure():
     assert critical_rank(100, 0.1) == 90
     assert critical_rank(100, 0.05) == 95
@@ -95,7 +116,7 @@ def test_p_value_tie_convention():
         bs.evaluate_statistic, bs.replicate_statistics = orig
 
 
-def test_replicates_use_their_own_refits():
+def test_replicates_use_their_own_refits(monkeypatch):
     import steinfit.bootstrap as bs
     x = burr_data(n=60, seed=21)
     seen = []
@@ -109,12 +130,10 @@ def test_replicates_use_their_own_refits():
         seen.extend(zip(params["k"], params["c"]))
         return orig[1](family, stats, X, params)
 
-    try:
-        bs.evaluate_statistic, bs.replicate_statistics = spy, spy_rows
-        bs.bootstrap_test(x, "burr", StatisticId("burr_B", a=3.0), B=10, alpha=0.1,
-                          rng=RngStream(3))
-    finally:
-        bs.evaluate_statistic, bs.replicate_statistics = orig
+    monkeypatch.setattr(bs, "evaluate_statistic", spy)
+    on_replicate_block(monkeypatch, spy_rows)
+    bs.bootstrap_test(x, "burr", StatisticId("burr_B", a=3.0), B=10, alpha=0.1,
+                      rng=RngStream(3))
     assert len(set(seen)) == len(seen) == 11  # observed fit + 10 distinct refits
 
 
@@ -160,7 +179,7 @@ def test_replicate_dropped_whole_when_a_later_statistic_fails(monkeypatch):
         out[2, 1] = float("nan")  # the KS value of replicate 3 cannot be computed
         return out
 
-    monkeypatch.setattr(bs, "replicate_statistics", flaky)
+    on_replicate_block(monkeypatch, flaky)
     _, _, boot, failed = bootstrap_replicates(x, "burr", stats, B, stream)
     assert boot.shape == (B - 1, 2)
     assert failed == 1
@@ -193,7 +212,7 @@ def test_non_finite_statistic_fails_the_replicate(monkeypatch):
         out[4, 1] = float("inf")  # the KS value of replicate 5
         return out
 
-    monkeypatch.setattr(bs, "replicate_statistics", inf_once)
+    on_replicate_block(monkeypatch, inf_once)
     _, _, boot, failed = bootstrap_replicates(x, "burr", stats, B, stream)
     assert boot.shape == (B - 1, 2)
     assert failed == 1
@@ -236,7 +255,6 @@ def scalar_replicates(x, family, stats, B, stream):
 
 def batched_replicates(monkeypatch, x, family, stats, B, stream):
     """bootstrap_replicates, also returning the sorted draws it kept."""
-    import steinfit.bootstrap as bs
     seen = []
 
     def spy(family, stats, X, params):
@@ -244,7 +262,7 @@ def batched_replicates(monkeypatch, x, family, stats, B, stream):
         seen.append(X[np.all(np.isfinite(out), axis=1)])
         return out
 
-    monkeypatch.setattr(bs, "replicate_statistics", spy)
+    on_replicate_block(monkeypatch, spy)
     _, _, boot, failed = bootstrap_replicates(x, family, stats, B, stream)
     return seen[0], boot, failed
 

@@ -155,6 +155,16 @@ def test_cmd_test_underflowing_burr_data_named_error(tmp_path, capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("a", ["inf", "1e300", "1e-120"])
+def test_cmd_test_weight_out_of_range_exit_2(burr_file, capsys, a):
+    # a weight whose cube is not a positive finite number is an input error
+    code = main(["test", "--data", burr_file, "--family", "burr", "--stat", "B",
+                 "--a", a, "--B", "10", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "weight parameter" in err
+
+
 def test_cmd_test_byte_identical_reruns(burr_file):
     code1, out1, _ = run_cli(["test", "--data", burr_file, "--family", "burr",
                               "--stat", "cvm", "--B", "30", "--seed", "7"])
@@ -234,6 +244,16 @@ def test_cmd_simulate_schema_errors(tmp_path, capsys):
     assert code == 2
     assert "mc_reps" in err
     assert "valid tags" in err
+
+
+def test_cmd_simulate_weight_must_be_a_number(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_DOC, statistics=[{"stat": "ks"},
+                                                        {"stat": "B", "a": "1"}])))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: statistics[1]: ")
 
 
 def test_cmd_simulate_thread_count_invariant(tmp_path):

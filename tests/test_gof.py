@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy import stats
 
 from steinfit import gof
 from steinfit.bootstrap import evaluate_statistic
@@ -84,7 +85,7 @@ def test_burr_B_rows_match_closed_form_and_oracle():
     got = gof.burr_B_rows(X, k, c, a_values)
     for i in range(X.shape[0]):
         for j, a in enumerate(a_values):
-            # the same arithmetic as the one-row closed form, so the same float
+            # burr_B_closed is the one-row case, so the same float
             assert got[i, j] == gof.burr_B_closed(X[i], k[i], c[i], a)
             # the closed form itself is within 2.3e-10 of the oracle on these rows
             assert got[i, j] == pytest.approx(gof.burr_B_quadrature(X[i], k[i], c[i], a),
@@ -319,6 +320,21 @@ def test_edf_rows_match_scalar_statistics():
         assert all(np.array_equal(row[tag][0], got[tag][i]) for tag in gof.EDF_TAGS)
 
 
+def test_edf_rows_match_scipy_oracle():
+    # KS and CvM against scipy's independent implementations, at the same F
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 10, 57):
+        X = np.sort(rng.gamma(2.0, 1.0, (20, n)), axis=1)
+        laws = [make_distribution("gamma", k=k, lam=lam)
+                for k, lam in zip(rng.uniform(0.3, 4.0, 20), rng.uniform(0.5, 2.0, 20))]
+        got = gof.edf_rows([cdf(law, x) for law, x in zip(laws, X)], ("ks", "cvm"))
+        for i, law in enumerate(laws):
+            F = lambda v: cdf(law, v)
+            assert got["ks"][i] == pytest.approx(stats.kstest(X[i], F).statistic, rel=1e-12)
+            assert got["cvm"][i] == pytest.approx(stats.cramervonmises(X[i], F).statistic,
+                                                  rel=1e-12)
+
+
 def test_edf_rows_ad_clamps_with_a_warning():
     Z = np.array([[0.2, 0.4, 0.6, 0.8], [0.0, 0.3, 0.6, 1.0]])
     with pytest.warns(RuntimeWarning):
@@ -384,6 +400,15 @@ def test_statistic_id_validation():
         gof.StatisticId("ks", a=1.0)
     with pytest.raises(ValueError):
         gof.StatisticId("cvm", sqrt_n=True)
+    # the weight must be a real number whose cube is positive and finite:
+    # the statistics divide by a**3, which overflows past about 5.6e102
+    # (a float power raises) and underflows to 0 below about 1.7e-108
+    for tag in ("burr_B", "generic_L2"):
+        for bad in (math.inf, 1e300, 1e103, 1e-120, "1", True):
+            with pytest.raises(ValueError):
+                gof.StatisticId(tag, a=bad)
+        for good in (1e102, 1e-100, 2, np.float64(0.5)):
+            assert gof.StatisticId(tag, a=good).a == good
     assert gof.StatisticId("burr_B", a=0.25).label == "B_0.25"
     assert gof.StatisticId("burr_B", a=3.0).label == "B_3"
     assert gof.StatisticId("ks").label == "KS"

@@ -133,6 +133,15 @@ def test_config_rejects_unknown_statistic():
         config_from_dict(doc)
 
 
+def test_config_rejects_bad_weights():
+    doc = dict(GOOD_DOC, statistics=[{"stat": "B", "a": "1"}, {"stat": "L2", "a": 1e300},
+                                     {"stat": "B", "a": True}, {"stat": "B", "a": 1}])
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert [p.split(":")[0] for p in err.value.problems] == [
+        "statistics[0]", "statistics[1]", "statistics[2]"]
+
+
 def test_config_reports_all_problems_at_once():
     doc = dict(GOOD_DOC, mc_reps=0, alpha=7, statistics=[{"stat": "bogus"}])
     with pytest.raises(ConfigError) as err:
