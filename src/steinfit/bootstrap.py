@@ -132,14 +132,19 @@ def _burr_rows(X: np.ndarray, fit: FitResult):
 
 def _gamma_rows(X: np.ndarray, fit: FitResult):
     mean, var = moments_rows(X)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         params = {"k": mean * mean / var, "lam": var / mean}
-    return params, np.all(X > 0, axis=1) & (var != 0.0)
+    return params, np.all(X > 0, axis=1) & _moments_ok(mean, var)
 
 
 def _normal_rows(X: np.ndarray, fit: FitResult):
     mean, var = moments_rows(X)
-    return {"mu": mean, "sigma2": var}, var != 0.0
+    return {"mu": mean, "sigma2": var}, _moments_ok(mean, var)
+
+
+def _moments_ok(mean, var):
+    # the rows on which gamma_fit and normal_fit raise no FitError
+    return np.isfinite(mean) & np.isfinite(var) & (var != 0.0)
 
 
 # the estimators are looked up in this module at call time, where the tests
@@ -150,7 +155,7 @@ _FAMILIES = {
     "gamma": _Family("gamma", "positive_axis_min", lambda x: gamma_fit(x), _gamma_rows,
                      lambda p: (0.0, p["lam"], {"k": p["k"], "lam": 1.0})),
     "normal": _Family("normal", "real_line", lambda x: normal_fit(x), _normal_rows,
-                      lambda p: (p["mu"], math.sqrt(p["sigma2"]), {"mu": 0.0, "sigma2": 1.0})),
+                      lambda p: (p["mu"], np.sqrt(p["sigma2"]), {"mu": 0.0, "sigma2": 1.0})),
 }
 FAMILIES = tuple(_FAMILIES)
 
@@ -171,27 +176,44 @@ def fitted_distribution(family: str, fit: FitResult) -> DistributionSpec:
 
 
 def evaluate_statistic(family: str, stat: StatisticId, x, fit: FitResult) -> float:
-    """Compute one statistic on a sample given the family fit, by the
-    replicates' kernels: the L2 statistic by ``_l2_statistic``, every other
-    one as the one-row case of ``replicate_statistics``."""
-    x = as_values(x)
-    if stat.tag == "generic_L2":
-        return _l2_statistic(family, stat.a, x, fit.params)
+    """Compute one statistic on a sample given the family fit, as the
+    one-row case of ``replicate_statistics``.  Raises ValueError for the L2
+    statistic on data the piece builders refuse."""
+    X = np.sort(as_values(x))[None]
     params = {name: np.array([value], dtype=float) for name, value in fit.params.items()}
-    return float(replicate_statistics(family, [stat], np.sort(x)[None], params)[0, 0])
+    if stat.tag == "generic_L2" and not _standardized(_family(family), X, params)[1][0]:
+        raise ValueError("the L2 statistic needs standardized observations that are finite, "
+                         "and positive for a min-type operator")
+    return float(replicate_statistics(family, [stat], X, params)[0, 0])
 
 
-def _l2_statistic(family: str, a: float, x: np.ndarray, params: dict) -> float:
-    """The weighted-L2 statistic of the unit law's operator, from its score."""
+def _standardized(rec: _Family, X: np.ndarray, params: dict):
+    """Sorted rows X on the scale of the unit law, and the rows the piece
+    builders accept: finite, and positive for the min-type operator."""
+    shift, scale, _ = rec.unit({name: v[:, None] for name, v in params.items()})
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are refused
+        Y = (X - shift) / scale
+    ok = np.isfinite(Y).all(axis=1)
+    if rec.operator == "positive_axis_min":  # checked before the score divides by y
+        ok &= Y[:, 0] > 0
+    return Y, ok
+
+
+def _l2_rows(family: str, a: float, X: np.ndarray, params: dict) -> np.ndarray:
+    """The weighted-L2 statistic of the unit law's operator, from its score,
+    on every row of sorted X: one kernel call, NaN on a refused row."""
     rec = _family(family)
-    shift, scale, unit = rec.unit(params)
-    y = np.sort((x - shift) / scale)
-    min_type = rec.operator == "positive_axis_min"
-    if min_type and not y[0] > 0:  # checked before the score divides by y
-        raise ValueError("observations must be positive and finite")
-    s = catalog_rows(rec.law, "score", unit, y)
-    pieces = gof.min_pieces(y, -s) if min_type else gof.real_line_pieces(y, s)
-    return gof.generic_L2(*pieces, a, y.size)
+    Y, ok = _standardized(rec, X, params)
+    _, _, unit = rec.unit({name: v[ok, None] for name, v in params.items()})
+    Y = Y[ok]
+    s = catalog_rows(rec.law, "score", unit, Y)
+    if rec.operator == "positive_axis_min":
+        pieces = gof.min_pieces_rows(Y, -s)
+    else:
+        pieces = gof.real_line_pieces_rows(Y, s)
+    out = np.full(X.shape[0], math.nan)
+    out[ok] = gof.generic_L2_rows(*pieces, a, X.shape[1])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -203,9 +225,9 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
     len(stats)) array, NaN where a statistic cannot be computed.
 
     X holds sorted rows; ``params`` maps each parameter name to a (rows,)
-    array.  B_{n,a} for all a-values is one ``gof.burr_B_rows`` call and the
-    EDF statistics share one fitted-CDF matrix; the L2 statistic is one
-    ``gof.generic_L2`` call per row.
+    array.  B_{n,a} for all a-values is one ``gof.burr_B_rows`` call, the
+    EDF statistics share one fitted-CDF matrix, and each L2 statistic is one
+    ``gof.generic_L2_rows`` call.
     """
     n = X.shape[1]
     out = np.empty((X.shape[0], len(stats)))
@@ -224,12 +246,7 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
         if stat.tag in edf_tags:
             out[:, i] = edf[stat.tag] * math.sqrt(n) if stat.sqrt_n else edf[stat.tag]
         elif stat.tag == "generic_L2":
-            for r in range(X.shape[0]):
-                try:
-                    out[r, i] = _l2_statistic(family, stat.a, X[r],
-                                              {name: float(v[r]) for name, v in params.items()})
-                except REPLICATE_ERRORS:
-                    out[r, i] = math.nan
+            out[:, i] = _l2_rows(family, stat.a, X, params)
     return out
 
 

@@ -168,9 +168,12 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    @property
+    def key(self) -> np.ndarray:
+        return np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key))
 
     def child(self, *keys) -> "RngStream":
         return RngStream(self.seed, derive_stream_id(self.stream_id, *keys))
@@ -656,7 +659,7 @@ def sample_rows(dist: DistributionSpec, n: int, rngs) -> np.ndarray:
     if fam == "inverse_gaussian":
         return np.array([_sample_inverse_gaussian(p["mu"], p["lam"], n, rng.generator())
                          for rng in rngs])
-    u = np.array([_uniforms(rng.generator(), n) for rng in rngs])
+    u = np.clip(_uniform_rows(rngs, n), _U_EPS, 1 - _U_EPS)
     if fam == "half_normal":
         return np.abs(sp.ndtri(u))
     if fam == "half_cauchy":
@@ -666,8 +669,21 @@ def sample_rows(dist: DistributionSpec, n: int, rngs) -> np.ndarray:
     return np.asarray(quantile(dist, u), dtype=float)
 
 
-def _uniforms(g: np.random.Generator, n: int) -> np.ndarray:
-    return np.clip(g.random(n), _U_EPS, 1 - _U_EPS)
+def _uniform_rows(rngs, n: int) -> np.ndarray:
+    """``rng.generator().random(n)`` for every stream in rngs, one row each,
+    from one Philox generator.  Philox is counter-based, so a stream is its
+    key: the generator is built for the first stream and re-keyed for each
+    further one, with its counter at 0 and its buffer empty, which is the
+    state a new bit generator starts from."""
+    g = rngs[0].generator()
+    fresh = g.bit_generator.state
+    u = np.empty((len(rngs), n))
+    g.random(out=u[0])
+    for row, rng in zip(u[1:], rngs[1:]):
+        fresh["state"]["key"] = rng.key
+        g.bit_generator.state = fresh
+        g.random(out=row)
+    return u
 
 
 def _sample_inverse_gaussian(mu, lam, n, g):

@@ -204,10 +204,7 @@ def gamma_fit(s) -> FitResult:
         raise FitError("gamma_fit needs at least 2 observations")
     if np.any(x <= 0):
         raise FitError("gamma_fit needs positive observations")
-    mean = float(np.mean(x))
-    var = float(np.mean((x - mean) ** 2))
-    if var == 0.0:
-        raise FitError("degenerate sample: zero variance")
+    mean, var = _moments(x)
     k = mean * mean / var
     lam = var / mean
     ll = log_likelihood(make_distribution("gamma", k=k, lam=lam), x)
@@ -219,17 +216,30 @@ def normal_fit(s) -> FitResult:
     x = as_values(s)
     if x.size < 2:
         raise FitError("normal_fit needs at least 2 observations")
-    mean = float(np.mean(x))
-    var = float(np.mean((x - mean) ** 2))
-    if var == 0.0:
-        raise FitError("degenerate sample: zero variance")
+    mean, var = _moments(x)
     loglik = float(-0.5 * x.size * (math.log(2 * math.pi * var) + 1.0))
     return FitResult(params={"mu": mean, "sigma2": var}, converged=True, loglik=loglik)
 
 
+def _moments(x):
+    """Mean and variance (divisor n) of one sample, for gamma_fit and
+    normal_fit; FitError when either overflows or the variance is 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        var = float(np.mean((x - mean) ** 2))
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise FitError(f"the sample mean or variance overflows (mean {mean:.6g}, "
+                       f"variance {var:.6g})")
+    if var == 0.0:
+        raise FitError("degenerate sample: zero variance")
+    return mean, var
+
+
 def moments_rows(X):
-    """Row means and variances (divisor n) of a matrix, summed as gamma_fit
-    and normal_fit sum one sample, so each row's values are bit-identical."""
+    """Row means and variances (divisor n) of a matrix, summed as _moments
+    sums one sample, so each row's values are bit-identical; a row whose
+    moments overflow gets a non-finite value, without a warning."""
     X = np.asarray(X, dtype=float)
-    mean = np.mean(X, axis=1)
-    return mean, np.mean((X - mean[:, None]) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(X, axis=1)
+        return mean, np.mean((X - mean[:, None]) ** 2, axis=1)

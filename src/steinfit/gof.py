@@ -10,8 +10,10 @@ one exact piecewise integrator for every weighted-L2 statistic, and the
 four classical EDF statistics (Kolmogorov-Smirnov, Cramer-von Mises,
 Anderson-Darling, Watson) computed from a fitted CDF.
 
-B_{n,a} and the EDF statistics each have one implementation, a kernel over
-the rows of a matrix of samples (burr_B_rows, edf_rows); burr_B_closed and
+B_{n,a}, the weighted-L2 integral and the EDF statistics each have one
+implementation, a kernel over the rows of a matrix of samples (burr_B_rows,
+generic_L2_rows with min_pieces_rows and real_line_pieces_rows, edf_rows);
+burr_B_closed, generic_L2 with min_pieces and real_line_pieces, and
 ks/cvm/ad/watson are its one-row case.
 """
 
@@ -194,56 +196,80 @@ def _burr_B_adaptive(s, k_hat, c_hat, a):
 
 def min_pieces(x, coef):
     """generic_L2 pieces of the min-type operator n*T_n(t) = sum_j coef_j
-    min(x_j, t) on sorted positive x: they start at 0 and at each order statistic."""
+    min(x_j, t) on sorted positive x: the one-row case of min_pieces_rows."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all() or (x <= 0).any():
         raise ValueError("observations must be positive and finite")
     if (x[1:] < x[:-1]).any():
         raise ValueError("observations must be sorted")
     coef = np.asarray(coef, dtype=float)
-    alpha = np.concatenate(([0.0], np.cumsum(coef * x))) - np.arange(x.size + 1)
-    return np.concatenate(([0.0], x)), alpha, np.append(np.cumsum(coef[::-1])[::-1], 0.0)
+    return tuple(v[0] for v in min_pieces_rows(x[None], coef[None]))
+
+
+def min_pieces_rows(X, coef):
+    """min_pieces of every row of X with the same row of coef, unchecked:
+    (rows, n + 1) arrays whose pieces start at 0 and at each order statistic."""
+    rows, n = X.shape
+    zero = np.zeros((rows, 1))
+    alpha = np.concatenate((zero, np.cumsum(coef * X, axis=1)), axis=1) - np.arange(n + 1)
+    beta = np.concatenate((np.cumsum(coef[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
+    return np.concatenate((zero, X), axis=1), alpha, beta
 
 
 def real_line_pieces(y, score):
     """generic_L2 pieces of the real-line operator n*T_n(t) = sum_{y_j <= t}
-    score_j (t - y_j) on sorted y: they start at each order statistic, as
-    the deviation vanishes below the smallest.  The standard normal's
-    zero-bias operator is the case score = -y."""
+    score_j (t - y_j) on sorted y: the one-row case of real_line_pieces_rows.
+    The standard normal's zero-bias operator is the case score = -y."""
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("observations must be finite")
     if (y[1:] < y[:-1]).any():
         raise ValueError("observations must be sorted")
     score = np.asarray(score, dtype=float)
-    return y, -np.cumsum(score * y) - np.arange(1, y.size + 1), np.cumsum(score)
+    return tuple(v[0] for v in real_line_pieces_rows(y[None], score[None]))
+
+
+def real_line_pieces_rows(Y, score):
+    """real_line_pieces of every row of Y with the same row of score,
+    unchecked: the pieces start at each order statistic, as the deviation
+    vanishes below the smallest."""
+    n = Y.shape[1]
+    return Y, -np.cumsum(score * Y, axis=1) - np.arange(1, n + 1), np.cumsum(score, axis=1)
 
 
 def generic_L2(t0, alpha, beta, a: float, n: int) -> float:
     """n * integral |T_n(t) - F_n(t)|^2 exp(-a t) dt, where n*(T_n - F_n) is
     alpha[i] + beta[i]*t from t0[i] to t0[i+1] (the last piece runs to +inf)
-    and 0 below t0[0].
+    and 0 below t0[0]: the one-row case of generic_L2_rows."""
+    if not a > 0:
+        raise ValueError("weight parameter a must be > 0")
+    return float(generic_L2_rows(*(np.asarray(v, dtype=float)[None] for v in (t0, alpha, beta)),
+                                 a, n)[0])
+
+
+def generic_L2_rows(t0, alpha, beta, a: float, n: int) -> np.ndarray:
+    """generic_L2 of every row of the (rows, pieces) arrays t0, alpha, beta:
+    a (rows,) array.
 
     A finite piece of length d with end values p, q integrates exactly to
     d * (p^2 m_0 + 2 p (q-p) m_1 + (q-p)^2 m_2), m_k = int_0^1 s^k e^{-a d s} ds;
     the bounded q - p stands in for beta*d, whose square overflows for an
-    observation near 1e-300.
+    observation near 1e-300.  The sum over a row's pieces is one dot product
+    per row, so a row's value does not depend on the rest of the batch.
     """
-    if not a > 0:
-        raise ValueError("weight parameter a must be > 0")
-    t0, alpha, beta = (np.asarray(v, dtype=float) for v in (t0, alpha, beta))
     p = alpha + beta * t0  # at the left end of each piece
-    g = alpha[:-1] + beta[:-1] * t0[1:] - p[:-1]
-    d = np.diff(t0)
+    g = alpha[:, :-1] + beta[:, :-1] * t0[:, 1:] - p[:, :-1]
+    d = np.diff(t0, axis=1)
     tiny = a * d < 1e-16  # m_k -> 1/(k+1); the ratios below would underflow
     c = np.where(tiny, 1.0, a * d)
     with np.errstate(over="ignore"):
         w = np.exp(-a * t0)
         m = [np.where(tiny, 1.0 / (k + 1), math.factorial(k) * sp.gammainc(k + 1, c) / c ** (k + 1))
              for k in range(3)]
-    pieces = d * (p[:-1] ** 2 * m[0] + 2.0 * p[:-1] * g * m[1] + g * g * m[2])
-    tail = p[-1] ** 2 / a + 2.0 * p[-1] * beta[-1] / a ** 2 + 2.0 * beta[-1] ** 2 / a ** 3
-    return float((w[:-1] @ pieces + w[-1] * tail) / n)
+    pieces = d * (p[:, :-1] ** 2 * m[0] + 2.0 * p[:, :-1] * g * m[1] + g * g * m[2])
+    tail = p[:, -1] ** 2 / a + 2.0 * p[:, -1] * beta[:, -1] / a ** 2 \
+        + 2.0 * beta[:, -1] ** 2 / a ** 3
+    return (_row_dot(w[:, :-1], pieces) + w[:, -1] * tail) / n
 
 
 def _L2_adaptive(deviation, x, a, lo):

@@ -345,6 +345,41 @@ def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
     assert _fit_rows(X, fit)[1].tolist() == [True, False, False, False, False, False]
 
 
+def test_moment_row_fits_fail_rows_whose_moments_overflow():
+    # the rows on which gamma_fit and normal_fit raise FitError, without a
+    # RuntimeWarning (an error under this suite's warning filter)
+    rng = np.random.default_rng(9)
+    X = np.array([rng.uniform(1, 2, 30), rng.uniform(1, 2, 30) * 1e300,
+                  rng.uniform(-2, 2, 30) * 1e200, np.full(30, 2.0)])
+    for family in ("gamma", "normal"):
+        ok = _FAMILIES[family].fit_rows(X, None)[1]
+        assert ok.tolist() == [True, False, False, False]
+        for x in X[1:]:
+            with pytest.raises(FitError):
+                _FAMILIES[family].fit(x)
+
+
+@pytest.mark.parametrize("family, bad", [("gamma", 0.0), ("gamma", math.inf),
+                                         ("normal", math.inf)])
+def test_l2_column_gives_nan_on_a_refused_row(family, bad):
+    # the piece builders refuse a row with a 0 (min-type operator) or an inf;
+    # that row is NaN, with no RuntimeWarning, and the others equal their
+    # one-row evaluate_statistic bit for bit
+    stat = StatisticId("generic_L2", a=1.0)
+    g = sample(make_distribution("gamma", k=2, lam=1), 6 * 40, RngStream(90)).values
+    X = np.sort(g.reshape(6, 40) - (family == "normal"), axis=1)
+    X[2, 0 if bad == 0.0 else -1] = bad
+    fits = [fit_family_retry(family, x) for x in np.delete(X, 2, axis=0)]
+    fits.insert(2, fits[0])  # a finite fit, so that the data alone are refused
+    params = {name: np.array([f.params[name] for f in fits]) for name in fits[0].params}
+    got = replicate_statistics(family, [stat], X, params)[:, 0]
+    assert math.isnan(got[2])
+    for r in (0, 1, 3, 4, 5):
+        assert got[r] == evaluate_statistic(family, stat, X[r], fits[r])
+    with pytest.raises(ValueError):
+        evaluate_statistic(family, stat, X[2], fits[2])
+
+
 @pytest.mark.parametrize("family, data, stats", [
     ("burr", burr_data(n=45, k=2.0, c=1.2, seed=51), BURR_STATS + [StatisticId("generic_L2", a=1.0)]),
     ("gamma", sample(make_distribution("gamma", k=2, lam=1), 45, RngStream(52)).values,

@@ -155,6 +155,21 @@ def test_cmd_test_underflowing_burr_data_named_error(tmp_path, capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("family, low, high, scale", [("normal", -2.0, 2.0, 1e200),
+                                                      ("gamma", 1.0, 2.0, 1e300)])
+def test_cmd_test_overflowing_moments_exit_2(tmp_path, capsys, family, low, high, scale):
+    # the moment fit's variance overflows: an input error naming it
+    x = np.random.default_rng(0).uniform(low, high, 30) * scale
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    code = main(["test", "--data", str(path), "--family", family, "--stat", "L2",
+                 "--a", "1", "--B", "20", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "variance overflows" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("a", ["inf", "1e300", "1e-120"])
 def test_cmd_test_weight_out_of_range_exit_2(burr_file, capsys, a):
     # a weight whose cube is not a positive finite number is an input error

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_strat
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import kstest
 
 from steinfit.distributions import (
@@ -209,13 +209,26 @@ def test_laplace_knot_recorded():
 @pytest.mark.parametrize("family, kw", [("burr_xii", dict(k=1.3, c=1.7)),
                                         ("gamma", dict(k=0.7, lam=2.0)),
                                         ("normal", dict(mu=1.0, sigma2=3.0)),
-                                        ("half_normal", {})])
+                                        ("half_normal", {}),
+                                        ("half_cauchy", {}),
+                                        ("levy", dict(mu=0.5, sigma=2.0))])
 def test_sample_rows_bit_equal_to_sample(family, kw):
+    # each row is pinned to numpy's own generator for its stream, mapped by
+    # the family's transform; at n = 1, 3 and 37 every stream leaves a
+    # Philox buffer of four words partly used
     dist = _dist(family, kw)
-    streams = [RngStream(4).child("rep", j) for j in range(1, 41)]
-    rows = sample_rows(dist, 37, streams)
-    assert rows.shape == (40, 37)
-    assert np.array_equal(rows, [sample(dist, 37, rng).values for rng in streams])
+    transform = dict(half_normal=lambda u: np.abs(special.ndtri(u)),
+                     half_cauchy=lambda u: np.abs(np.tan(math.pi * (u - 0.5))),
+                     levy=lambda u: 0.5 + 2.0 / special.ndtri(u) ** 2)
+    for rows in (1, 2, 40):
+        streams = [RngStream(4).child("rep", j) for j in range(1, rows + 1)]
+        for n in (1, 3, 37, 100):
+            got = sample_rows(dist, n, streams)
+            assert got.shape == (rows, n)
+            for row, rng in zip(got, streams):
+                u = np.clip(rng.generator().random(n), 2.0 ** -53, 1 - 2.0 ** -53)
+                assert np.array_equal(row, transform.get(family, lambda u: quantile(dist, u))(u))
+            assert np.array_equal(got[-1], sample(dist, n, streams[-1]).values)
 
 
 def test_sample_type():

@@ -275,6 +275,16 @@ def test_normal_fit_zero_variance_flagged():
         normal_fit([3.0, 3.0])
 
 
+def test_moment_fits_name_an_overflowing_mean_or_variance():
+    # the squares overflow; no RuntimeWarning (an error in this suite), and
+    # no fit with an infinite variance reported as converged
+    rng = np.random.default_rng(3)
+    with pytest.raises(FitError, match="overflows"):
+        normal_fit(rng.uniform(-2, 2, 30) * 1e200)
+    with pytest.raises(FitError, match="overflows"):
+        gamma_fit(rng.uniform(1, 2, 30) * 1e300)
+
+
 def test_normal_standardization_exact():
     x = draw("normal", 200, 777, mu=1.5, sigma2=4.0)
     fit = normal_fit(x)

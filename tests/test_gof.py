@@ -9,7 +9,15 @@ from scipy import stats
 from steinfit import gof
 from steinfit.bootstrap import evaluate_statistic
 from steinfit.characterization import empirical_T_min, empirical_T_zero_bias
-from steinfit.distributions import RngStream, cdf, make_distribution, quantile, sample, score
+from steinfit.distributions import (
+    RngStream,
+    catalog_rows,
+    cdf,
+    make_distribution,
+    quantile,
+    sample,
+    score,
+)
 from steinfit.estimation import FitResult, normal_fit
 from steinfit.gof import StatisticId
 
@@ -204,6 +212,29 @@ def test_generic_L2_gamma_and_normal_match_adaptive_oracle():
         fit = normal_fit(z)
         exact = evaluate_statistic("normal", StatisticId("generic_L2", a=a), z, fit)
         assert exact == pytest.approx(_normal_L2_adaptive(z, fit, a), rel=1e-9)
+
+
+def test_generic_L2_rows_match_adaptive_oracle_row_by_row():
+    # one matrix of gamma rows and one of normal rows, a different fit per
+    # row, through the row piece builders and one generic_L2_rows call each
+    rng = np.random.default_rng(2024)
+    n, a = 25, 0.5
+    G = np.sort(rng.gamma(rng.uniform(0.5, 4.0, (6, 1)), size=(6, n)), axis=1)
+    k, lam = rng.uniform(0.5, 4.0, 6), rng.uniform(0.5, 2.0, 6)
+    Y = G / lam[:, None]
+    s = catalog_rows("gamma", "score", {"k": k[:, None], "lam": 1.0}, Y)
+    got = gof.generic_L2_rows(*gof.min_pieces_rows(Y, -s), a, n)
+    for r in range(6):
+        fit = FitResult(params={"k": k[r], "lam": lam[r]})
+        assert got[r] == pytest.approx(_gamma_L2_adaptive(G[r], fit, a), rel=1e-9)
+
+    Z = np.sort(rng.normal(rng.uniform(-1, 1, (6, 1)), 1.5, size=(6, n)), axis=1)
+    mu, sigma2 = rng.uniform(-1, 1, 6), rng.uniform(0.5, 3.0, 6)
+    Y = (Z - mu[:, None]) / np.sqrt(sigma2)[:, None]
+    got = gof.generic_L2_rows(*gof.real_line_pieces_rows(Y, -Y), a, n)
+    for r in range(6):
+        fit = FitResult(params={"mu": mu[r], "sigma2": sigma2[r]})
+        assert got[r] == pytest.approx(_normal_L2_adaptive(Z[r], fit, a), rel=1e-9)
 
 
 def test_generic_L2_finite_on_tiny_observations():
