@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Compare steinfit's outputs between two source checkouts on a fixed corpus.
+
+    python scripts/compare_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout runs the same corpus through its own ``steinfit.cli.main``, in
+a fresh interpreter with that checkout's ``src`` first on the path:
+
+* ``steinfit test`` (n = 100, B = 100, a seed per data set) on 30 seeded data
+  sets per family, half drawn from the hypothesis family and half from an alternative:
+  burr with B and L2 at a = 0.25, 1, 3 and ks; gamma with L2 at the three
+  a-values and ad; normal with L2 at the three a-values and cvm;
+* ``steinfit simulate --threads 1`` on two small Burr configs, one with EDF
+  statistics only and one with B_{n,a} and L2 statistics.
+
+The script prints the share of byte-identical outputs (exit code, stdout,
+stderr, and every report file but the ``wall_time_s`` line), the worst
+relative change of ``statistic_value`` and ``critical_value``, and every run
+whose exit code, stderr, warnings, ``fit``, ``p_value``, ``reject``,
+``effective_B`` or ``failed_replicates`` changed, or whose simulate report
+changed.  It exits 0 when none did and both values moved by at most 1e-13
+relative, and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+DATASETS = 30  # data sets per family
+N = 100  # observations per data set
+B = 100  # bootstrap replicates per test
+RTOL = 1e-13  # allowed relative change of statistic_value and critical_value
+A_VALUES = (0.25, 1.0, 3.0)
+# family -> (statistics run on each data set, as (stat, a) with a None for EDF)
+STATS = {
+    "burr": [("B", a) for a in A_VALUES] + [("L2", a) for a in A_VALUES] + [("ks", None)],
+    "gamma": [("L2", a) for a in A_VALUES] + [("ad", None)],
+    "normal": [("L2", a) for a in A_VALUES] + [("cvm", None)],
+}
+CLOSE_FIELDS = ("statistic_value", "critical_value")
+BURR_ALTERNATIVES = [
+    {"family": "burr_xii", "params": {"k": 1, "c": 1}, "label": "BurrXII(1,1)"},
+    {"family": "weibull", "params": {"k": 0.5, "lam": 1}, "label": "W(0.5)"},
+    {"family": "exponential", "params": {"lam": 1}, "label": "Exp(1)"},
+    {"family": "half_cauchy", "params": {}, "label": "HC"},
+]
+SIMULATE = {
+    "edf": {"n": 50, "alpha": 0.1, "mc_reps": 6, "bootstrap_B": 50, "seed": 11,
+            "statistics": [{"stat": s} for s in ("ks", "cvm", "ad", "watson")],
+            "alternatives": BURR_ALTERNATIVES},
+    "weighted_l2": {"n": 50, "alpha": 0.1, "mc_reps": 6, "bootstrap_B": 50, "seed": 12,
+                    "statistics": [{"stat": "B", "a": a} for a in A_VALUES]
+                    + [{"stat": "L2", "a": 1.0}, {"stat": "ks"}],
+                    "alternatives": BURR_ALTERNATIVES},
+}
+
+# Runs the corpus inside one checkout: argv = [checkout, corpus.json, results.json].
+RUNNER = r"""
+import contextlib, io, json, os, sys, warnings
+checkout, corpus_path, out_path = sys.argv[1:]
+sys.path.insert(0, os.path.join(checkout, "src"))
+import steinfit.cli
+if not os.path.realpath(steinfit.cli.__file__).startswith(os.path.realpath(checkout) + os.sep):
+    raise SystemExit(f"steinfit imported from {steinfit.cli.__file__}, not {checkout}")
+results = []
+for run in json.load(open(corpus_path)):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = steinfit.cli.main(run["argv"])
+        except SystemExit as exc:
+            code = exc.code
+    files = {}
+    for name in run.get("files", []):
+        with open(os.path.join(run["out_dir"], name)) as fh:
+            files[name] = "".join(ln for ln in fh if '"wall_time_s"' not in ln)
+    results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                    "warnings": sorted({f"{w.category.__name__}: {w.message}" for w in caught}),
+                    "files": files})
+json.dump(results, open(out_path, "w"))
+"""
+
+
+def draw(family: str, index: int) -> np.ndarray:
+    """Data set ``index`` for ``family``: even indices from the family, odd
+    ones from an alternative to it."""
+    rng = np.random.default_rng([2024, index, list(STATS).index(family)])
+    null = index % 2 == 0
+    if family == "burr":
+        if null:
+            k, c = rng.uniform(0.5, 3.0, 2)
+            return np.expm1(-np.log1p(-rng.random(N)) / k) ** (1.0 / c)
+        return [rng.weibull(rng.uniform(0.5, 3.0), N), rng.lognormal(0.0, 1.0, N)][index // 2 % 2]
+    if family == "gamma":
+        if null:
+            return rng.gamma(rng.uniform(0.5, 5.0), rng.uniform(0.5, 2.0), N)
+        return [rng.weibull(rng.uniform(0.5, 3.0), N), rng.lognormal(0.0, 0.5, N)][index // 2 % 2]
+    if null:
+        return rng.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), N)
+    return [rng.laplace(0.0, 1.0, N), rng.standard_t(4, N)][index // 2 % 2]
+
+
+def build_corpus(work: str) -> list:
+    corpus = []
+    for family, stats in STATS.items():
+        for index in range(DATASETS):
+            path = os.path.join(work, f"{family}_{index}.txt")
+            with open(path, "w") as fh:
+                fh.write("".join(f"{float(v)!r}\n" for v in draw(family, index)))
+            for stat, a in stats:
+                argv = ["test", "--data", path, "--family", family, "--stat", stat,
+                        "--B", str(B), "--seed", str(index)]
+                if a is not None:
+                    argv += ["--a", str(a)]
+                group = f"{family}/{stat}" + ("" if a is None else f"_{a:g}")
+                corpus.append({"group": group, "label": f"{group}/{index}", "argv": argv})
+    for name, doc in SIMULATE.items():
+        cfg = os.path.join(work, f"{name}.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        # both sides write here in turn; each run's files are read at once
+        out_dir = os.path.join(work, f"simulate_{name}")
+        corpus.append({"group": f"simulate/{name}", "label": f"simulate/{name}", "out_dir": out_dir,
+                       "argv": ["simulate", "--config", cfg, "--threads", "1", "--out", out_dir],
+                       "files": ["report.json", "report.csv", "report.md"]})
+    return corpus
+
+
+def run_checkout(checkout: str, corpus: list, work: str, side: str) -> list:
+    """Results of ``corpus`` under ``checkout``, one per run."""
+    corpus_path = os.path.join(work, "corpus.json")
+    out_path = os.path.join(work, f"results_{side}.json")
+    with open(corpus_path, "w") as fh:
+        json.dump(corpus, fh)
+    subprocess.run([sys.executable, "-c", RUNNER, os.path.abspath(checkout), corpus_path,
+                    out_path], check=True, env=dict(os.environ, PYTHONPATH=""))
+    with open(out_path) as fh:
+        return json.load(fh)
+
+
+def rel_change(old, new) -> float:
+    if old == new:
+        return 0.0
+    if not (isinstance(old, float) and isinstance(new, float)):
+        return float("inf")
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def compare(corpus, old, new):
+    """Print the comparison; return True when nothing beyond ``RTOL`` moved."""
+    groups = {}  # group -> [byte-identical runs, runs]
+    codes = {}  # exit code -> runs, on the new side
+    worst = dict.fromkeys(CLOSE_FIELDS, (0.0, None))
+    changed = []
+    for run, o, w in zip(corpus, old, new):
+        label = run["label"]
+        tally = groups.setdefault(run["group"], [0, 0])
+        tally[0] += o == w
+        tally[1] += 1
+        codes[w["code"]] = codes.get(w["code"], 0) + 1
+        if o == w:
+            continue
+        for key in ("code", "stderr", "warnings"):
+            if o[key] != w[key]:
+                changed.append(f"{label}: {key} {o[key]!r} -> {w[key]!r}")
+        for name in o["files"]:
+            if o["files"][name] != w["files"].get(name):
+                changed.append(f"{label}: {name} differs")
+        if o["code"] != 0 or w["code"] != 0 or "files" in run:
+            continue
+        od, wd = json.loads(o["stdout"]), json.loads(w["stdout"])
+        for key in sorted(set(od) | set(wd)):
+            if key in CLOSE_FIELDS:
+                r = rel_change(od.get(key), wd.get(key))
+                if r > worst[key][0]:
+                    worst[key] = (r, label)
+            elif od.get(key) != wd.get(key):
+                changed.append(f"{label}: {key} {od.get(key)!r} -> {wd.get(key)!r}")
+    identical = sum(same for same, _ in groups.values())
+    print(f"runs: {len(corpus)}, exit codes {dict(sorted(codes.items()))}")
+    print(f"byte-identical: {identical}/{len(corpus)} ({100.0 * identical / len(corpus):.1f}%)")
+    for group, (same, runs) in groups.items():
+        print(f"  {group}: {same}/{runs}")
+    for key, (r, label) in worst.items():
+        print(f"worst relative change of {key}: {r:.3g}" + (f" ({label})" if label else ""))
+    print(f"changed runs or fields: {len(changed)}")
+    for line in changed:
+        print(f"  {line}")
+    return not changed and all(r <= RTOL for r, _ in worst.values())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="checkout whose outputs are the reference")
+    parser.add_argument("new", help="checkout to compare against it")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        corpus = build_corpus(work)
+        old = run_checkout(args.old, corpus, work, "old")
+        new = run_checkout(args.new, corpus, work, "new")
+        return 0 if compare(corpus, old, new) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,10 +113,12 @@ def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
     case of burr_B_rows.
 
     This is the double-sum formula over order statistics, evaluated through
-    prefix sums (an algebraic regrouping of the pair sum, O(n) flops) with
-    expm1/gammainc-stabilized terms so that near-zero order statistics do
-    not lose precision to cancellation.  Agrees with burr_B_quadrature to
-    better than 1e-8 relative; the quadrature route stays the authority.
+    prefix sums (an algebraic regrouping of the pair sum, O(n) flops).  Its
+    terms go through expm1 and the incomplete gamma P(2, aX) of
+    _gammainc_123, whose series below the cut-off z = 0.5 keeps near-zero
+    order statistics from losing precision to cancellation.  Agrees with
+    burr_B_quadrature to better than 1e-8 relative; the quadrature route
+    stays the authority.
     """
     x = np.sort(as_values(s))
     if not (a > 0 and k_hat > 0 and c_hat > 0):
@@ -142,20 +144,53 @@ def burr_B_rows(X, k_hat, c_hat, a_values):
     j0 = np.arange(n, dtype=float)
     out = np.empty((X.shape[0], len(a_values)))
     for col, a in enumerate(a_values):
-        e = np.exp(-a * X)
-        one_m_e = -np.expm1(-a * X)
+        z = a * X
+        e = np.exp(-z)
+        one_m_e = -np.expm1(-z)
         inner = (2.0 * A1 / a ** 3) * one_m_e + (A2 / a ** 2) * e \
             + ((c - 2.0) / a ** 2) * e - (X / a) * e
         off = (2.0 / n) * (_row_dot(A1, _prefix_sums(inner))
                            + _row_dot(A1 * e, csum_A2) / a ** 2
                            + _row_dot(e, csum_A2) / a)
-        diag_bracket = (2.0 / a ** 3) * sp.gammainc(3.0, a * X) + (X * X / a) * e
+        # (2/a^3) P(3, aX) + (X^2/a) e^{-aX}, as P(3, z) + z^2 e^{-z}/2 = P(2, z)
+        diag_bracket = (2.0 / a ** 3) * _gammainc_123(z, e)[1]
         diag = (1.0 / n) * (_row_dot(A1 * A1, diag_bracket)
                             + (2.0 * c[:, 0] / a ** 2) * _row_dot(j0 * A1, e)
                             + (2.0 / a) * _row_dot(A2, e))
         single = (2.0 * c[:, 0] / (a * n)) * _row_dot(e, j0 + 1.0) - e.sum(axis=1) / (a * n)
         out[:, col] = off + diag + single
     return out
+
+
+GAMMAINC_CUT = 0.5  # _gammainc_123 sums a series below this z, closed forms above
+# 1/(3+i)! for i = 15 down to 0: the series P(3, z) = e^{-z} z^3 sum_i z^i/(3+i)!,
+# whose 17th term is below 1e-17 of the sum for z < GAMMAINC_CUT
+_P3_SERIES = [1.0 / math.factorial(3 + i) for i in range(15, -1, -1)]
+
+
+def _gammainc_123(z, ez):
+    """The regularized lower incomplete gammas P(1, z), P(2, z), P(3, z) of
+    an array z >= 0, given ez = exp(-z).
+
+    From GAMMAINC_CUT on, the closed forms P(k+1, z) = 1 - e^{-z} sum_{j<=k}
+    z^j/j! (DLMF 8.4.11), built from the products z e^{-z} so that no
+    intermediate overflows at large z.  Below it, P(3, z) is its series in
+    16 Horner terms and the lower orders add the positive terms
+    e^{-z} z^2/2 and e^{-z} z, so no order cancels.  Within 1e-14 relative
+    of the exact values for z in [1e-100, 1e3], the worst just above the
+    cut-off, where 1 - e^{-z}(1 + z + z^2/2) cancels to 0.0144.
+    """
+    zez = z * ez
+    p1 = 1.0 - ez
+    p2 = p1 - zez
+    p3 = p2 - 0.5 * z * zez
+    small = z < GAMMAINC_CUT
+    if small.any():
+        zs, zes = z[small], zez[small]
+        p3s = zes * zs * zs * np.polyval(_P3_SERIES, zs)
+        p2s = p3s + 0.5 * zes * zs
+        p3[small], p2[small], p1[small] = p3s, p2s, p2s + zes
+    return p1, p2, p3
 
 
 def _prefix_sums(v):
@@ -254,18 +289,23 @@ def generic_L2_rows(t0, alpha, beta, a: float, n: int) -> np.ndarray:
     A finite piece of length d with end values p, q integrates exactly to
     d * (p^2 m_0 + 2 p (q-p) m_1 + (q-p)^2 m_2), m_k = int_0^1 s^k e^{-a d s} ds;
     the bounded q - p stands in for beta*d, whose square overflows for an
-    observation near 1e-300.  The sum over a row's pieces is one dot product
-    per row, so a row's value does not depend on the rest of the batch.
+    observation near 1e-300.  m_k = k! P(k+1, c) / c^(k+1) at c = a d, with
+    the P's from _gammainc_123 (closed forms from c = GAMMAINC_CUT on, a
+    series below); m_k is 1/(k+1) on a piece with c below 1e-16, where the
+    ratio is 1/(k+1) to double precision and a zero-length piece gives 0/0.
+    The sum over a row's pieces is one dot product per row, so a row's value
+    does not depend on the rest of the batch.
     """
     p = alpha + beta * t0  # at the left end of each piece
     g = alpha[:, :-1] + beta[:, :-1] * t0[:, 1:] - p[:, :-1]
     d = np.diff(t0, axis=1)
-    tiny = a * d < 1e-16  # m_k -> 1/(k+1); the ratios below would underflow
+    tiny = a * d < 1e-16
     c = np.where(tiny, 1.0, a * d)
+    p1, p2, p3 = _gammainc_123(c, np.exp(-c))
     with np.errstate(over="ignore"):
         w = np.exp(-a * t0)
-        m = [np.where(tiny, 1.0 / (k + 1), math.factorial(k) * sp.gammainc(k + 1, c) / c ** (k + 1))
-             for k in range(3)]
+        m = [np.where(tiny, 1.0 / (k + 1), ratio) for k, ratio in
+             enumerate((p1 / c, p2 / (c * c), 2.0 * p3 / (c * c * c)))]
     pieces = d * (p[:, :-1] ** 2 * m[0] + 2.0 * p[:, :-1] * g * m[1] + g * g * m[2])
     tail = p[:, -1] ** 2 / a + 2.0 * p[:, -1] * beta[:, -1] / a ** 2 \
         + 2.0 * beta[:, -1] ** 2 / a ** 3

@@ -155,6 +155,20 @@ def test_cmd_test_underflowing_burr_data_named_error(tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_cmd_test_huge_burr_data_fails_as_replicates(tmp_path):
+    # the observed B_{n,a} is finite at the fit of data near 1e300, so B
+    # fails where ks does: in the bootstrap replicates, not on the sample
+    x = np.random.default_rng(0).uniform(1.0, 2.0, 30) * 1e300
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    for stat in ("B", "ks"):
+        code, _, err = run_cli(["test", "--data", str(path), "--family", "burr", "--stat", stat,
+                                "--B", "20", "--seed", "1"])
+        assert code == 3
+        assert "bootstrap replicates failed" in err
+        assert "non-finite statistic" not in err
+
+
 @pytest.mark.parametrize("family, low, high, scale", [("normal", -2.0, 2.0, 1e200),
                                                       ("gamma", 1.0, 2.0, 1e300)])
 def test_cmd_test_overflowing_moments_exit_2(tmp_path, capsys, family, low, high, scale):
@@ -222,6 +236,31 @@ def test_cmd_verify_arcsine_beta_unsupported(capsys):
 def test_cmd_verify_unknown_family(capsys):
     code = main(["verify", "--family", "nosuch"])
     assert code == 2
+
+
+def test_main_reuses_its_parser_across_calls(burr_file, tmp_path, capsys, monkeypatch):
+    # one process, one parser: help, a usage error and two different tests
+    # print and exit as fresh processes do
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    gamma_file = tmp_path / "gamma.txt"
+    gamma = sample(make_distribution("gamma", k=2, lam=1), 60, RngStream(8)).values
+    gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
+    calls = [["test", "--help"],
+             ["test", "--data", burr_file, "--family", "burr", "--stat", "B", "--bogus"],
+             ["test", "--data", burr_file, "--family", "burr", "--stat", "B", "--B", "20",
+              "--seed", "3"],
+             ["test", "--data", str(gamma_file), "--family", "gamma", "--stat", "L2", "--a", "1",
+              "--B", "20", "--seed", "4"]]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_cli(argv)
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy import special as sp
 from scipy import stats
 
 from steinfit import gof
@@ -103,6 +104,26 @@ def test_burr_B_rows_match_closed_form_and_oracle():
                               got[i])
 
 
+def test_burr_B_rows_match_adaptive_oracle():
+    # burr_B_quadrature shares the incomplete gamma helper with burr_B_rows;
+    # black-box adaptive quadrature of the defining integral shares nothing
+    X, k, c = _burr_rows(4, 15, 17)
+    a_values = [0.25, 1.0, 3.0]
+    got = gof.burr_B_rows(X, k, c, a_values)
+    for i in range(X.shape[0]):
+        for j, a in enumerate(a_values):
+            assert got[i, j] == pytest.approx(gof._burr_B_adaptive(X[i], k[i], c[i], a),
+                                              rel=1e-9)
+
+
+def test_burr_B_rows_finite_on_huge_observations():
+    # a fit the Burr MLE accepts on data near 1e300: X*X overflows, the
+    # statistic does not (and no RuntimeWarning escapes)
+    X = np.sort(np.random.default_rng(4).uniform(1.0, 2.0, (3, 30)), axis=1) * 1e300
+    got = gof.burr_B_rows(X, [2.8e-6] * 3, [515.0] * 3, [0.25, 1.0, 3.0])
+    assert np.isfinite(got).all() and (got >= 0).all()
+
+
 def test_burr_B_paper_display_verbatim_grouping():
     """The prefix-sum evaluation equals the literal double sum over j < l
     (the bracketed grouping with the (c-2)/a^2 term inside)."""
@@ -144,6 +165,38 @@ def test_burr_B_zero_when_T_matches_F():
     x = np.sort(burr_sample(30, 2, 1.5, 9))
     val = gof.burr_B_quadrature(x, 2.0, 1.5, 3.0)
     assert val >= 0.0
+
+
+# --------------------------------------------------------------------------
+# integer-order incomplete gamma
+# --------------------------------------------------------------------------
+
+def _gammainc_123(z):
+    z = np.asarray(z, dtype=float)
+    return gof._gammainc_123(z, np.exp(-z))
+
+
+def test_gammainc_123_matches_scipy():
+    cut = gof.GAMMAINC_CUT
+    z = np.concatenate((np.logspace(-17, 3, 4001), np.linspace(cut - 0.05, cut + 0.05, 2001),
+                        [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]))
+    for k, got in enumerate(_gammainc_123(z), start=1):
+        np.testing.assert_allclose(got, sp.gammainc(k, z), rtol=1e-13, atol=0)
+
+
+def test_gammainc_123_leading_term_below_1e_17():
+    # P(k, z) = z^k/k! (1 - k z/(k+1) + ...), so below 1e-17 the leading term
+    # is the value to double precision; scipy itself strays near z = 1e-84
+    z = np.logspace(-300, -17, 2000)
+    for k, got in enumerate(_gammainc_123(z), start=1):
+        # an absolute allowance of a few subnormal steps where z^k underflows
+        np.testing.assert_allclose(got, z ** k / math.factorial(k), rtol=1e-13, atol=2e-323)
+
+
+def test_gammainc_123_limits():
+    assert [p.tolist() for p in _gammainc_123([0.0])] == [[0.0]] * 3
+    big = [50.0, 1e3, 1e300, 1.7e308]
+    assert [p.tolist() for p in _gammainc_123(big)] == [[1.0] * 4] * 3
 
 
 # --------------------------------------------------------------------------
