@@ -11,7 +11,10 @@ a fresh interpreter with that checkout's ``src`` first on the path:
   burr with B and L2 at a = 0.25, 1, 3 and ks; gamma with L2 at the three
   a-values and ad; normal with L2 at the three a-values and cvm;
 * ``steinfit simulate --threads 1`` on two small Burr configs, one with EDF
-  statistics only and one with B_{n,a} and L2 statistics.
+  statistics only and one with B_{n,a} and L2 statistics, and on a small
+  normal config (ks and L2 at a = 1) whose alternatives cover every catalog
+  family, so that every family's draws are compared;
+* ``steinfit verify`` on each of the 18 cases of ``scripts/verify_catalog.py``.
 
 The script prints the share of byte-identical outputs (exit code, stdout,
 stderr, and every report file but the ``wall_time_s`` line), the worst
@@ -32,6 +35,8 @@ import sys
 import tempfile
 
 import numpy as np
+
+from verify_catalog import CASES
 
 DATASETS = 30  # data sets per family
 N = 100  # observations per data set
@@ -59,6 +64,10 @@ SIMULATE = {
                     "statistics": [{"stat": "B", "a": a} for a in A_VALUES]
                     + [{"stat": "L2", "a": 1.0}, {"stat": "ks"}],
                     "alternatives": BURR_ALTERNATIVES},
+    "all_families": {"n": 30, "alpha": 0.1, "mc_reps": 3, "bootstrap_B": 20, "seed": 13,
+                     "family": "normal", "statistics": [{"stat": "ks"}, {"stat": "L2", "a": 1.0}],
+                     "alternatives": [{"family": family, "params": kw}
+                                      for family, kw in dict(CASES).items()]},
 }
 
 # Runs the corpus inside one checkout: argv = [checkout, corpus.json, results.json].
@@ -132,6 +141,10 @@ def build_corpus(work: str) -> list:
         corpus.append({"group": f"simulate/{name}", "label": f"simulate/{name}", "out_dir": out_dir,
                        "argv": ["simulate", "--config", cfg, "--threads", "1", "--out", out_dir],
                        "files": ["report.json", "report.csv", "report.md"]})
+    for index, (family, kw) in enumerate(CASES):
+        params = ",".join(f"{name}={value}" for name, value in kw.items())
+        corpus.append({"group": f"verify/{family}", "label": f"verify/{index}/{family}",
+                       "argv": ["verify", "--family", family, "--params", params]})
     return corpus
 
 

@@ -4,16 +4,8 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from steinfit.characterization import (
-    QuadratureError,
-    check_conditions,
-    default_operator,
-    fixed_point_residual,
-)
-from steinfit.distributions import DomainError, make_distribution
-
+# one case per catalog family, and the arcsine law; scripts/compare_outputs.py
+# imports this list, so the module imports steinfit only in main()
 CASES = [
     ("normal", dict(mu=0, sigma2=1)),
     ("laplace", dict(mu=0, sigma=1)),
@@ -37,6 +29,15 @@ CASES = [
 
 
 def main():
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+    from steinfit.characterization import (
+        QuadratureError,
+        check_conditions,
+        default_operator,
+        fixed_point_residual,
+    )
+    from steinfit.distributions import DomainError, make_distribution
+
     print(f"{'family':32s} {'variant':22s} {'supported':9s} {'residual':>10s}  verdicts")
     for family, kw in CASES:
         dist = make_distribution(family, **kw)

@@ -42,7 +42,6 @@ from .distributions import (
     sample_rows,
 )
 from .estimation import (
-    FitError,
     FitResult,
     burr_mle,
     burr_mle_rows,
@@ -53,8 +52,9 @@ from .estimation import (
 from .gof import StatisticId
 
 MAX_FAILURE_FRACTION = 0.05
-# what fails one replicate; any other exception is a bug and propagates
-REPLICATE_ERRORS = (FitError, ValueError, FloatingPointError)
+# what fails one replicate (a FitError is a ValueError); any other
+# exception is a bug and propagates
+REPLICATE_ERRORS = (ValueError,)
 
 # the replicates are handled in blocks of at most this many draws (and at
 # least one row), which bounds the engine's memory whatever B and n are

@@ -446,7 +446,7 @@ def _endpoint_sequence(dist, endpoint, side, fn):
         x = endpoint + d if side == "left" else endpoint - d
         try:
             vals.append(float(fn(x)))
-        except (DomainError, FloatingPointError, OverflowError):
+        except (DomainError, OverflowError):
             vals.append(math.nan)
     return vals
 
@@ -596,7 +596,7 @@ def _c3_integral(dist, integrand):
             with np.errstate(all="ignore"):
                 val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-9,
                                         limit=200)
-        except Exception:
+        except (ArithmeticError, ValueError):
             return math.nan
         return val
 

@@ -1,10 +1,15 @@
 """Catalog of continuous univariate distributions.
 
-Every family exposes the same contract: density, log-density, distribution
-function, survival function, quantile, score (derivative of the log-density)
-and an inversion-based sampler driven by a reproducible counter-based RNG
-stream.  The catalog covers both the hypothesis families used by the
-goodness-of-fit tests and the alternatives used in the power studies.
+Every family is one record (``_Family``) holding everything the catalog
+knows about it: log-density, density (by default the exponential of the
+log-density), distribution function, survival function, quantile, score
+(derivative of the log-density) and, where the family needs them, a draw
+map from uniforms to variates, a direct sampler, and the limit of the
+density at a finite support endpoint.  The operations below read the record
+and never branch on a family's name; sampling is driven by a reproducible
+counter-based RNG stream.  The catalog covers both the hypothesis families
+used by the goodness-of-fit tests and the alternatives used in the power
+studies.
 
 Parametrizations
 ----------------
@@ -32,7 +37,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
@@ -87,12 +93,6 @@ class DistributionSpec:
     family: str
     params: tuple[tuple[str, float], ...]
     support: Support
-
-    def param(self, name: str) -> float:
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise KeyError(name)
 
     @property
     def param_dict(self) -> dict[str, float]:
@@ -185,9 +185,6 @@ class RngStream:
 # --------------------------------------------------------------------------
 # Family implementations
 # --------------------------------------------------------------------------
-# Each entry maps the family tag to a record of vectorized callables taking
-# (params dict, ndarray).  ``quantile`` may be None, in which case a bracketed
-# root-find on the CDF is used.
 
 _INF = math.inf
 
@@ -198,28 +195,34 @@ def _positive(p, *names):
             raise ParameterError(f"parameter '{name}' must be > 0, got {p[name]}")
 
 
+@dataclass(frozen=True, kw_only=True)
 class _Family:
-    def __init__(self, names, defaults, validate, support, logpdf, pdf, cdf, sf,
-                 quantile, score):
-        self.names = names
-        self.defaults = defaults
-        self.validate = validate
-        self.support = support
-        self.logpdf = logpdf
-        self.pdf = pdf
-        self.cdf = cdf
-        self.sf = sf
-        self.quantile = quantile
-        self.score = score
+    """Everything the catalog knows about one family.  The callables take
+    (params dict, ndarray) unless noted and are vectorized; the operations
+    below read this record and never test a family's name."""
+
+    names: tuple[str, ...]
+    support: Callable  # params -> Support
+    logpdf: Callable
+    pdf: Callable  # _register makes it exp(logpdf) when left out
+    cdf: Callable
+    sf: Callable
+    score: Callable
+    quantile: Callable | None = None  # None: bracketed root-find on the CDF
+    draw: Callable | None = None  # uniforms -> variates, when not the quantile
+    sampler: Callable | None = None  # (params, n, Generator) -> n variates, no uniforms
+    endpoint_density: Callable | None = None  # (params, side) -> limit of p there
+    validate: Callable = lambda p: None
+    defaults: dict = field(default_factory=dict)
 
 
 _REGISTRY: dict[str, _Family] = {}
 
 
-def _register(tag, names, support, logpdf, pdf, cdf, sf, quantile, score,
-              validate=None, defaults=None):
-    _REGISTRY[tag] = _Family(names, defaults or {}, validate or (lambda p: None),
-                             support, logpdf, pdf, cdf, sf, quantile, score)
+def _register(tag, names, **fields):
+    logpdf = fields["logpdf"]
+    fields.setdefault("pdf", lambda p, x: np.exp(logpdf(p, x)))
+    _REGISTRY[tag] = _Family(names=names, **fields)
 
 
 _SQRT2PI = math.sqrt(2 * math.pi)
@@ -260,8 +263,6 @@ _register(
     validate=lambda p: _positive(p, "k", "lam"),
     logpdf=lambda p, x: ((p["k"] - 1) * np.log(x) - x / p["lam"]
                          - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
-    pdf=lambda p, x: np.exp((p["k"] - 1) * np.log(x) - x / p["lam"]
-                            - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
     cdf=lambda p, x: sp.gammainc(p["k"], x / p["lam"]),
     sf=lambda p, x: sp.gammaincc(p["k"], x / p["lam"]),
     quantile=lambda p, u: p["lam"] * sp.gammaincinv(p["k"], u),
@@ -281,17 +282,23 @@ _register(
 )
 
 
-def _ig_cdf(p, x):
+def _ig_cdf(p, x, sign=1.0):
+    """The CDF, or with sign -1 the survival function."""
     mu, lam = p["mu"], p["lam"]
     r = np.sqrt(lam / x)
     # second term written as exp(2*lam/mu + log Phi(-r(x/mu+1))) to avoid overflow
-    return sp.ndtr(r * (x / mu - 1)) + np.exp(2 * lam / mu + sp.log_ndtr(-r * (x / mu + 1)))
+    return (sp.ndtr(sign * r * (x / mu - 1))
+            + sign * np.exp(2 * lam / mu + sp.log_ndtr(-r * (x / mu + 1))))
 
 
-def _ig_sf(p, x):
+def _sample_inverse_gaussian(p, n, g):
+    # transformation with multiple roots (Michael, Schucany & Haas 1976)
     mu, lam = p["mu"], p["lam"]
-    r = np.sqrt(lam / x)
-    return sp.ndtr(-r * (x / mu - 1)) - np.exp(2 * lam / mu + sp.log_ndtr(-r * (x / mu + 1)))
+    z = g.standard_normal(n)
+    u = g.random(n)
+    y = z * z
+    x1 = mu + mu * mu * y / (2 * lam) - mu / (2 * lam) * np.sqrt(4 * mu * lam * y + (mu * y) ** 2)
+    return np.where(u <= mu / (mu + x1), x1, mu * mu / x1)
 
 
 _register(
@@ -303,8 +310,8 @@ _register(
     pdf=lambda p, x: (math.sqrt(p["lam"] / (2 * math.pi)) * x ** -1.5
                       * np.exp(-p["lam"] * (x - p["mu"]) ** 2 / (2 * p["mu"] ** 2 * x))),
     cdf=_ig_cdf,
-    sf=_ig_sf,
-    quantile=None,
+    sf=lambda p, x: _ig_cdf(p, x, -1.0),
+    sampler=_sample_inverse_gaussian,
     score=lambda p, x: p["lam"] / (2 * x ** 2) - 1.5 / x - p["lam"] / (2 * p["mu"] ** 2),
 )
 
@@ -330,6 +337,11 @@ def _burr_score(p, x):
     return (c - 1) / x - c * (k + 1) * ratio / x
 
 
+def _burr_quantile(p, u):
+    with np.errstate(over="ignore"):  # expm1 overflows to inf at extreme fits
+        return p["sigma"] * np.expm1(-np.log1p(-u) / p["k"]) ** (1.0 / p["c"])
+
+
 _register(
     "burr_xii", ("k", "c", "sigma"),
     defaults={"sigma": 1.0},
@@ -338,12 +350,9 @@ _register(
     logpdf=lambda p, x: (math.log(p["c"] * p["k"] / p["sigma"])
                          + (p["c"] - 1) * np.log(x / p["sigma"])
                          - (p["k"] + 1) * np.logaddexp(0.0, p["c"] * np.log(x / p["sigma"]))),
-    pdf=lambda p, x: np.exp(math.log(p["c"] * p["k"] / p["sigma"])
-                            + (p["c"] - 1) * np.log(x / p["sigma"])
-                            - (p["k"] + 1) * np.logaddexp(0.0, p["c"] * np.log(x / p["sigma"]))),
     cdf=lambda p, x: -np.expm1(-p["k"] * np.logaddexp(0.0, p["c"] * np.log(x / p["sigma"]))),
     sf=lambda p, x: np.exp(-p["k"] * np.logaddexp(0.0, p["c"] * np.log(x / p["sigma"]))),
-    quantile=lambda p, u: p["sigma"] * np.expm1(-np.log1p(-u) / p["k"]) ** (1.0 / p["c"]),
+    quantile=_burr_quantile,
     score=_burr_score,
 )
 
@@ -358,6 +367,7 @@ _register(
     cdf=lambda p, x: sp.erfc(np.sqrt(p["sigma"] / (2 * (x - p["mu"])))),
     sf=lambda p, x: sp.erf(np.sqrt(p["sigma"] / (2 * (x - p["mu"])))),
     quantile=lambda p, u: p["mu"] + p["sigma"] / (2 * sp.erfcinv(u) ** 2),
+    draw=lambda p, u: p["mu"] + p["sigma"] / sp.ndtri(u) ** 2,  # mu + sigma/Z^2
     score=lambda p, x: -1.5 / (x - p["mu"]) + p["sigma"] / (2 * (x - p["mu"]) ** 2),
 )
 
@@ -374,18 +384,26 @@ _register(
     score=lambda p, x: ((p["mu"] - p["sigma"] ** 2) - np.log(x)) / (p["sigma"] ** 2 * x),
 )
 
+
+def _beta_endpoint_density(p, side):
+    # p(x) behaves as x^(alpha-1) / B(alpha, beta) at 0, as (1-x)^(beta-1) / B at 1
+    e = p["alpha"] if side == "left" else p["beta"]
+    if e != 1:
+        return 0.0 if e > 1 else math.inf
+    return float(np.exp(-sp.betaln(p["alpha"], p["beta"])))
+
+
 _register(
     "beta", ("alpha", "beta"),
     support=lambda p: Support(0.0, 1.0),
     validate=lambda p: _positive(p, "alpha", "beta"),
     logpdf=lambda p, x: ((p["alpha"] - 1) * np.log(x) + (p["beta"] - 1) * np.log1p(-x)
                          - sp.betaln(p["alpha"], p["beta"])),
-    pdf=lambda p, x: np.exp((p["alpha"] - 1) * np.log(x) + (p["beta"] - 1) * np.log1p(-x)
-                            - sp.betaln(p["alpha"], p["beta"])),
     cdf=lambda p, x: sp.betainc(p["alpha"], p["beta"], x),
     sf=lambda p, x: sp.betainc(p["beta"], p["alpha"], 1.0 - np.asarray(x, dtype=float)),
     quantile=lambda p, u: sp.betaincinv(p["alpha"], p["beta"], u),
     score=lambda p, x: (p["alpha"] - 1) / x - (p["beta"] - 1) / (1 - x),
+    endpoint_density=_beta_endpoint_density,
 )
 
 _register(
@@ -399,6 +417,7 @@ _register(
     sf=lambda p, x: (p["right"] - np.asarray(x, dtype=float)) / (p["right"] - p["left"]),
     quantile=lambda p, u: p["left"] + (p["right"] - p["left"]) * u,
     score=lambda p, x: np.zeros_like(np.asarray(x, dtype=float)),
+    endpoint_density=lambda p, side: 1.0 / (p["right"] - p["left"]),
 )
 
 _register(
@@ -409,6 +428,7 @@ _register(
     cdf=lambda p, x: sp.erf(x / math.sqrt(2)),
     sf=lambda p, x: sp.erfc(x / math.sqrt(2)),
     quantile=lambda p, u: sp.ndtri((1.0 + u) / 2.0),
+    draw=lambda p, u: np.abs(sp.ndtri(u)),  # |N(0, 1)|
     score=lambda p, x: -np.asarray(x, dtype=float),
 )
 
@@ -420,18 +440,13 @@ _register(
     cdf=lambda p, x: (2 / math.pi) * np.arctan(x),
     sf=lambda p, x: (2 / math.pi) * np.arctan(1.0 / np.asarray(x, dtype=float)),
     quantile=lambda p, u: np.tan(math.pi * u / 2),
+    draw=lambda p, u: np.abs(np.tan(math.pi * (u - 0.5))),  # |Cauchy(0, 1)|
     score=lambda p, x: -2 * x / (1 + x ** 2),
 )
 
-def _gompertz_logpdf(p, x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # expm1 overflows harmlessly to inf in the far tail
-        g = np.expm1(x) / p["theta"]
-    return x - math.log(p["theta"]) - g
-
 
 def _gompertz_tail_exponent(p, x):
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # expm1 overflows harmlessly to inf in the far tail
         return np.expm1(np.asarray(x, dtype=float)) / p["theta"]
 
 
@@ -439,8 +454,7 @@ _register(
     "gompertz", ("theta",),
     support=lambda p: Support(0.0, _INF),
     validate=lambda p: _positive(p, "theta"),
-    logpdf=_gompertz_logpdf,
-    pdf=lambda p, x: np.exp(_gompertz_logpdf(p, x)),
+    logpdf=lambda p, x: x - math.log(p["theta"]) - _gompertz_tail_exponent(p, x),
     cdf=lambda p, x: -np.expm1(-_gompertz_tail_exponent(p, x)),
     sf=lambda p, x: np.exp(-_gompertz_tail_exponent(p, x)),
     quantile=lambda p, u: np.log1p(-p["theta"] * np.log1p(-u)),
@@ -485,8 +499,6 @@ _register(
     validate=lambda p: _positive(p, "k", "lam"),
     logpdf=lambda p, x: ((p["k"] - 1) * np.log(x - p["mu"]) - (x - p["mu"]) / p["lam"]
                          - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
-    pdf=lambda p, x: np.exp((p["k"] - 1) * np.log(x - p["mu"]) - (x - p["mu"]) / p["lam"]
-                            - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
     cdf=lambda p, x: sp.gammainc(p["k"], (x - p["mu"]) / p["lam"]),
     sf=lambda p, x: sp.gammaincc(p["k"], (x - p["mu"]) / p["lam"]),
     quantile=lambda p, u: p["mu"] + p["lam"] * sp.gammaincinv(p["k"], u),
@@ -535,39 +547,45 @@ def _scalarize(x_in, out):
     return out
 
 
-def _check_interior(dist: DistributionSpec, x):
+def _interior(dist: DistributionSpec, fn: str, x):
+    """The record's ``fn`` at x; DomainError outside the open support."""
     arr = np.asarray(x, dtype=float)
     if not np.all(dist.support.interior(arr)):
         raise DomainError(f"point outside the open support ({dist.support.left}, {dist.support.right}) "
                           f"of {dist.label}")
+    return _scalarize(x, getattr(_REGISTRY[dist.family], fn)(dist.param_dict, arr))
 
 
 def pdf(dist: DistributionSpec, x):
     """Density p(x); raises DomainError outside the open support."""
-    _check_interior(dist, x)
-    return _scalarize(x, _REGISTRY[dist.family].pdf(dist.param_dict, np.asarray(x, dtype=float)))
+    return _interior(dist, "pdf", x)
 
 
 def logpdf(dist: DistributionSpec, x):
     """log p(x), computed directly (not via log o pdf) for tail stability."""
-    _check_interior(dist, x)
-    return _scalarize(x, _REGISTRY[dist.family].logpdf(dist.param_dict, np.asarray(x, dtype=float)))
+    return _interior(dist, "logpdf", x)
+
+
+def _clamped(dist: DistributionSpec, fn: str, x, below: float, above: float):
+    """The record's ``fn`` inside the support, clipped to [0, 1], and the
+    constants ``below`` and ``above`` outside it."""
+    arr = np.asarray(x, dtype=float)
+    sup = dist.support
+    out = np.empty(arr.shape, dtype=float)
+    lo = arr <= sup.left
+    hi = arr >= sup.right
+    inside = ~(lo | hi)
+    out[lo] = below
+    out[hi] = above
+    if np.any(inside):
+        vals = getattr(_REGISTRY[dist.family], fn)(dist.param_dict, arr[inside])
+        out[inside] = np.clip(vals, 0.0, 1.0)
+    return _scalarize(x, out)
 
 
 def cdf(dist: DistributionSpec, x):
     """Distribution function, clamped to 0 below the support and 1 above."""
-    arr = np.asarray(x, dtype=float)
-    sup = dist.support
-    out = np.empty(arr.shape, dtype=float)
-    below = arr <= sup.left
-    above = arr >= sup.right
-    inside = ~(below | above)
-    out[below] = 0.0
-    out[above] = 1.0
-    if np.any(inside):
-        vals = _REGISTRY[dist.family].cdf(dist.param_dict, arr[inside])
-        out[inside] = np.clip(vals, 0.0, 1.0)
-    return _scalarize(x, out)
+    return _clamped(dist, "cdf", x, 0.0, 1.0)
 
 
 def catalog_rows(family: str, fn: str, params: dict, X) -> np.ndarray:
@@ -581,18 +599,7 @@ def catalog_rows(family: str, fn: str, params: dict, X) -> np.ndarray:
 
 def sf(dist: DistributionSpec, x):
     """Survival function 1 - cdf(x), evaluated without cancellation."""
-    arr = np.asarray(x, dtype=float)
-    sup = dist.support
-    out = np.empty(arr.shape, dtype=float)
-    below = arr <= sup.left
-    above = arr >= sup.right
-    inside = ~(below | above)
-    out[below] = 1.0
-    out[above] = 0.0
-    if np.any(inside):
-        vals = _REGISTRY[dist.family].sf(dist.param_dict, arr[inside])
-        out[inside] = np.clip(vals, 0.0, 1.0)
-    return _scalarize(x, out)
+    return _clamped(dist, "sf", x, 1.0, 0.0)
 
 
 def quantile(dist: DistributionSpec, u):
@@ -626,12 +633,10 @@ def _quantile_root(dist: DistributionSpec, u: float) -> float:
 
 def score(dist: DistributionSpec, x):
     """Score p'(x)/p(x); domain error outside the open support and at knots."""
-    _check_interior(dist, x)
-    arr = np.asarray(x, dtype=float)
     for knot in dist.support.knots:
-        if np.any(arr == knot):
+        if np.any(np.asarray(x, dtype=float) == knot):
             raise DomainError(f"score of {dist.label} is undefined at the knot x={knot}")
-    return _scalarize(x, _REGISTRY[dist.family].score(dist.param_dict, arr))
+    return _interior(dist, "score", x)
 
 
 _U_EPS = 2.0 ** -53  # keep inversion inputs strictly inside (0, 1)
@@ -640,10 +645,11 @@ _U_EPS = 2.0 ** -53  # keep inversion inputs strictly inside (0, 1)
 def sample(dist: DistributionSpec, n: int, rng: RngStream) -> Sample:
     """Draw n iid variates, deterministically for a fixed stream.
 
-    Inversion is the default; the inverse Gaussian uses the
-    transformation-with-roots method, half-normal/half-Cauchy take the
-    absolute value of the symmetric variate, and the Levy law is generated
-    as mu + sigma/Z^2 for a standard normal Z.
+    The family's record says how: its ``sampler`` when it has one (the
+    inverse Gaussian's transformation with roots), else its ``draw`` map of
+    uniforms (half-normal and half-Cauchy take the absolute value of the
+    symmetric variate, the Levy law is mu + sigma/Z^2 for a standard normal
+    Z), else inversion through ``quantile``.
     """
     return Sample(sample_rows(dist, n, [rng])[0])
 
@@ -651,21 +657,17 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> Sample:
 def sample_rows(dist: DistributionSpec, n: int, rngs) -> np.ndarray:
     """One row of n variates per stream in ``rngs``, row j drawn as
     ``sample(dist, n, rngs[j])`` draws it: each stream gives its row's
-    uniforms, and one transform maps the whole matrix of them."""
+    uniforms, and one transform maps the whole matrix of them (a family
+    with its own sampler draws each row from its stream's generator)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    fam = _REGISTRY[dist.family]
     p = dist.param_dict
-    fam = dist.family
-    if fam == "inverse_gaussian":
-        return np.array([_sample_inverse_gaussian(p["mu"], p["lam"], n, rng.generator())
-                         for rng in rngs])
+    if fam.sampler is not None:
+        return np.array([fam.sampler(p, n, rng.generator()) for rng in rngs])
     u = np.clip(_uniform_rows(rngs, n), _U_EPS, 1 - _U_EPS)
-    if fam == "half_normal":
-        return np.abs(sp.ndtri(u))
-    if fam == "half_cauchy":
-        return np.abs(np.tan(math.pi * (u - 0.5)))
-    if fam == "levy":
-        return p["mu"] + p["sigma"] / sp.ndtri(u) ** 2
+    if fam.draw is not None:
+        return fam.draw(p, u)
     return np.asarray(quantile(dist, u), dtype=float)
 
 
@@ -686,14 +688,6 @@ def _uniform_rows(rngs, n: int) -> np.ndarray:
     return u
 
 
-def _sample_inverse_gaussian(mu, lam, n, g):
-    z = g.standard_normal(n)
-    u = g.random(n)
-    y = z * z
-    x1 = mu + mu * mu * y / (2 * lam) - mu / (2 * lam) * np.sqrt(4 * mu * lam * y + (mu * y) ** 2)
-    return np.where(u <= mu / (mu + x1), x1, mu * mu / x1)
-
-
 def log_likelihood(dist: DistributionSpec, s) -> float:
     """Sum of log-densities; -inf sentinel if any observation lies outside."""
     vals = as_values(s)
@@ -705,41 +699,18 @@ def log_likelihood(dist: DistributionSpec, s) -> float:
 def boundary_density_limit(dist: DistributionSpec, side: str) -> float:
     """Limit of the density at a finite support endpoint ('left' or 'right').
 
-    Returns the exact analytic limit for bounded-support catalog families
-    (inf when the density blows up).  Needed by the bounded-support
+    Returns the exact analytic limit from the family's record (inf when the
+    density blows up); DomainError when the endpoint is infinite or the
+    record has no such limit.  Needed by the bounded-support
     characterization operators, whose identities carry this limit as an
     additive term.
     """
-    sup = dist.support
-    if side == "right":
-        if not sup.bounded_above:
-            raise DomainError("right endpoint is infinite")
-        if dist.family == "uniform":
-            return 1.0 / (sup.right - sup.left)
-        if dist.family == "beta":
-            b = dist.param("beta")
-            if b > 1:
-                return 0.0
-            if b == 1:
-                return float(np.exp(-sp.betaln(dist.param("alpha"), 1.0)))
-            return math.inf
-    elif side == "left":
-        if not sup.bounded_below:
-            raise DomainError("left endpoint is infinite")
-        if dist.family == "uniform":
-            return 1.0 / (sup.right - sup.left)
-        if dist.family == "beta":
-            a = dist.param("alpha")
-            if a > 1:
-                return 0.0
-            if a == 1:
-                return float(np.exp(-sp.betaln(1.0, dist.param("beta"))))
-            return math.inf
-        # families supported on [L, inf): limit of p at L
-        eps = 1e-12 * max(1.0, abs(sup.left))
-        lo = float(pdf(dist, sup.left + eps))
-        hi = float(pdf(dist, sup.left + 10 * eps))
-        return 0.5 * (lo + hi) if abs(hi - lo) <= 1e-6 * max(1.0, abs(lo)) else math.inf
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    raise DomainError(f"no analytic boundary limit recorded for family '{dist.family}'")
+    sup = dist.support
+    if not (sup.bounded_below if side == "left" else sup.bounded_above):
+        raise DomainError(f"{side} endpoint is infinite")
+    endpoint_density = _REGISTRY[dist.family].endpoint_density
+    if endpoint_density is None:
+        raise DomainError(f"no analytic boundary limit recorded for family '{dist.family}'")
+    return endpoint_density(dist.param_dict, side)

@@ -36,7 +36,6 @@ from .bootstrap import (
 # unused here, but bench/tracer.py wraps these names in this module's namespace
 from .bootstrap import evaluate_statistic, fit_family_retry, fitted_distribution  # noqa: F401
 from .distributions import DistributionSpec, ParameterError, RngStream, make_distribution, sample
-from .estimation import FitError
 from .gof import STAT_NAMES, StatisticId
 
 MAX_CELL_FAILURE_FRACTION = 0.05
@@ -79,6 +78,10 @@ class PowerStudyConfig:
         labels = [lbl for lbl, _ in self.alternatives]
         if len(set(labels)) != len(labels):
             problems.append("alternatives: labels must be unique")
+        # a report cell and a table column are keyed by the statistic's label
+        labels = [stat.label for stat in self.statistics]
+        if len(set(labels)) != len(labels):
+            problems.append("statistics: labels must be unique")
         if problems:
             raise ConfigError(problems)
         return self
@@ -247,7 +250,7 @@ def _run_one_replicate(cfg: PowerStudyConfig, alt_label: str, alt: DistributionS
                     for stat in cfg.statistics}
         _, observed, boot, _ = bootstrap_replicates(
             x, cfg.family, cfg.statistics, cfg.bootstrap_B, lambda b: root.child("boot", b))
-    except (BootstrapError, FitError, ValueError, FloatingPointError):
+    except (BootstrapError, ValueError):  # a FitError is a ValueError
         return None
     crit = np.sort(boot, axis=0)[critical_rank(boot.shape[0], cfg.alpha) - 1]
     return {stat.label: bool(obs > c) for stat, obs, c in zip(cfg.statistics, observed, crit)}

@@ -18,6 +18,7 @@ from steinfit.characterization import test_function_ftp as ftp_value
 from steinfit.distributions import (
     DomainError,
     RngStream,
+    boundary_density_limit,
     cdf,
     make_distribution,
     pdf,
@@ -110,6 +111,21 @@ def test_exact_T_hand_values():
 def test_fixed_point_residual_weibull_lognormal():
     assert fixed_point_residual(make_distribution("weibull", k=1.5, lam=1.0)) <= 1e-6
     assert fixed_point_residual(make_distribution("lognormal", mu=0.0, sigma=1.0)) <= 1e-6
+
+
+def test_fixed_point_of_the_max_type_bounded_operators():
+    # beta(1, 2) has density 2(1 - x), so its left-limit identity carries p(0) = 2
+    beta12 = make_distribution("beta", alpha=1.0, beta=2.0)
+    rho = boundary_density_limit(beta12, "left")
+    assert rho == pytest.approx(2.0, rel=1e-14)
+    kind = OperatorKind("bounded_left_limit", left=0.0, right=1.0, boundary_density_limit=rho)
+    assert exact_T(beta12, kind, 0.3) == pytest.approx(cdf(beta12, 0.3), abs=1e-9)
+    assert fixed_point_residual(beta12, kind) < 1e-9
+    # beta(2, 3) vanishes at 0, so the max-type operator needs no boundary term
+    beta23 = make_distribution("beta", alpha=2.0, beta=3.0)
+    kind = OperatorKind("upper_bounded_max", right=1.0)
+    assert exact_T(beta23, kind, 0.3) == pytest.approx(cdf(beta23, 0.3), abs=1e-9)
+    assert fixed_point_residual(beta23, kind) < 1e-9
 
 
 def test_mismatched_law_residual():

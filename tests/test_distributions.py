@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from steinfit.distributions import (
     ParameterError,
     RngStream,
     Sample,
+    boundary_density_limit,
     cdf,
     log_likelihood,
     logpdf,
@@ -229,6 +231,38 @@ def test_sample_rows_bit_equal_to_sample(family, kw):
                 u = np.clip(rng.generator().random(n), 2.0 ** -53, 1 - 2.0 ** -53)
                 assert np.array_equal(row, transform.get(family, lambda u: quantile(dist, u))(u))
             assert np.array_equal(got[-1], sample(dist, n, streams[-1]).values)
+
+
+def test_burr_draws_at_an_extreme_fit_overflow_silently():
+    # the fit the Burr MLE accepts on data near 1e300: the quantile's expm1
+    # overflows in the far tail, to inf and without a RuntimeWarning
+    dist = _dist("burr_xii", dict(k=2.8e-6, c=515.0))
+    streams = [RngStream(1).child("boot", b) for b in range(20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sample_rows(dist, 30, streams)
+    assert np.isinf(got).any() and not np.isnan(got).any()
+
+
+def test_boundary_density_limit_reads_the_record():
+    uni = _dist("uniform", dict(left=-1.0, right=3.0))
+    assert boundary_density_limit(uni, "left") == boundary_density_limit(uni, "right") == 0.25
+    beta = _dist("beta", dict(alpha=2.0, beta=3.0))
+    assert boundary_density_limit(beta, "left") == boundary_density_limit(beta, "right") == 0.0
+    # p(x) = b (1 - x)^(b - 1) for beta(1, b), and a x^(a - 1) for beta(a, 1)
+    assert boundary_density_limit(_dist("beta", dict(alpha=1.0, beta=2.5)), "left") == \
+        pytest.approx(2.5, rel=1e-14)
+    assert boundary_density_limit(_dist("beta", dict(alpha=2.5, beta=1.0)), "right") == \
+        pytest.approx(2.5, rel=1e-14)
+    arcsine = _dist("beta", dict(alpha=0.5, beta=0.5))
+    assert boundary_density_limit(arcsine, "left") == boundary_density_limit(arcsine, "right") \
+        == math.inf
+    with pytest.raises(DomainError, match="infinite"):
+        boundary_density_limit(_dist("gamma", dict(k=2.0, lam=1.0)), "right")
+    with pytest.raises(DomainError, match="no analytic boundary limit"):
+        boundary_density_limit(_dist("gamma", dict(k=2.0, lam=1.0)), "left")
+    with pytest.raises(ValueError, match="side"):
+        boundary_density_limit(uni, "top")
 
 
 def test_sample_type():

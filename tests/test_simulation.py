@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from steinfit.cli import main
 from steinfit.distributions import make_distribution
 from steinfit.gof import StatisticId
 from steinfit.simulation import (
@@ -153,6 +154,23 @@ def test_config_rejects_bad_alternative_params():
     doc = dict(GOOD_DOC, alternatives=[{"family": "gamma", "params": {"k": -1, "lam": 1}}])
     with pytest.raises(ConfigError, match="alternatives"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("stats", [[{"stat": "B", "a": 1}, {"stat": "B", "a": 1.0}],
+                                   [{"stat": "ks"}, {"stat": "ks", "sqrt_n": True}]])
+def test_config_rejects_statistics_with_one_label(tmp_path, capsys, stats):
+    # a report cell is keyed by the statistic's label: two statistics with
+    # one label would share a cell and repeat a table column
+    doc = dict(GOOD_DOC, statistics=stats)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.problems == ["statistics: labels must be unique"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: statistics: labels must be unique\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_json_serializable():
