@@ -10,10 +10,11 @@ a fresh interpreter with that checkout's ``src`` first on the path:
   sets per family, half drawn from the hypothesis family and half from an alternative:
   burr with B and L2 at a = 0.25, 1, 3 and ks; gamma with L2 at the three
   a-values and ad; normal with L2 at the three a-values and cvm;
-* ``steinfit simulate --threads 1`` on two small Burr configs, one with EDF
-  statistics only and one with B_{n,a} and L2 statistics, and on a small
-  normal config (ks and L2 at a = 1) whose alternatives cover every catalog
-  family, so that every family's draws are compared;
+* ``steinfit simulate`` at ``--threads 1`` and at ``--threads 2`` (a
+  two-process pool) on two small Burr configs, one with EDF statistics only
+  and one with B_{n,a} and L2 statistics, and on a small normal config (ks
+  and L2 at a = 1) whose alternatives cover every catalog family, so that
+  every family's draws are compared;
 * ``steinfit verify`` on each of the 18 cases of ``scripts/verify_catalog.py``.
 
 The script prints the share of byte-identical outputs (exit code, stdout,
@@ -136,11 +137,13 @@ def build_corpus(work: str) -> list:
         cfg = os.path.join(work, f"{name}.json")
         with open(cfg, "w") as fh:
             json.dump(doc, fh)
-        # both sides write here in turn; each run's files are read at once
-        out_dir = os.path.join(work, f"simulate_{name}")
-        corpus.append({"group": f"simulate/{name}", "label": f"simulate/{name}", "out_dir": out_dir,
-                       "argv": ["simulate", "--config", cfg, "--threads", "1", "--out", out_dir],
-                       "files": ["report.json", "report.csv", "report.md"]})
+        for threads in ("1", "2"):
+            # both sides write here in turn; each run's files are read at once
+            out_dir = os.path.join(work, f"simulate_{name}_{threads}")
+            corpus.append({"group": f"simulate/{name}", "label": f"simulate/{name}/{threads}",
+                           "out_dir": out_dir, "files": ["report.json", "report.csv", "report.md"],
+                           "argv": ["simulate", "--config", cfg, "--threads", threads,
+                                    "--out", out_dir]})
     for index, (family, kw) in enumerate(CASES):
         params = ",".join(f"{name}={value}" for name, value in kw.items())
         corpus.append({"group": f"verify/{family}", "label": f"verify/{index}/{family}",

@@ -82,21 +82,7 @@ class TestOutcome:
     rng_fingerprint: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "statistic": self.statistic,
-            "statistic_value": self.statistic_value,
-            "critical_value": self.critical_value,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "fit": self.fit.to_dict(),
-            "B": self.B,
-            "effective_B": self.effective_B,
-            "alpha": self.alpha,
-            "n": self.n,
-            "failed_replicates": self.failed_replicates,
-            "rng_fingerprint": self.rng_fingerprint,
-        }
+        return {**vars(self), "fit": self.fit.to_dict()}
 
 
 # --------------------------------------------------------------------------
@@ -220,6 +206,13 @@ def _l2_rows(family: str, a: float, X: np.ndarray, params: dict) -> np.ndarray:
 # Batched replicates
 # --------------------------------------------------------------------------
 
+def check_statistics(family: str, stats) -> None:
+    """Raise ValueError if a statistic does not apply to the family: B_{n,a}
+    is defined for the Burr family only."""
+    if family != "burr" and any(stat.tag == "burr_B" for stat in stats):
+        raise ValueError("the burr_B statistic applies to the burr family only")
+
+
 def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.ndarray:
     """Every statistic on every row of X at that row's fit: a (rows,
     len(stats)) array, NaN where a statistic cannot be computed.
@@ -229,12 +222,11 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
     EDF statistics share one fitted-CDF matrix, and each L2 statistic is one
     ``gof.generic_L2_rows`` call.
     """
+    check_statistics(family, stats)
     n = X.shape[1]
     out = np.empty((X.shape[0], len(stats)))
     b_cols = [i for i, stat in enumerate(stats) if stat.tag == "burr_B"]
     if b_cols:
-        if family != "burr":
-            raise ValueError("the burr_B statistic applies to the burr family only")
         out[:, b_cols] = gof.burr_B_rows(X, params["k"], params["c"],
                                          [stats[i].a for i in b_cols])
     edf_tags = {stat.tag for stat in stats if stat.tag in gof.EDF_TAGS}
@@ -257,6 +249,21 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
 def critical_rank(B: int, alpha: float) -> int:
     """1-based order-statistic rank of the bootstrap critical value."""
     return math.ceil((1.0 - alpha) * B)
+
+
+def decide(observed, boot: np.ndarray, alpha: float):
+    """The test's decision for each column of ``boot`` against its entry of
+    ``observed``: (critical value, p-value, reject) arrays, one entry per column.
+
+    The critical value is the critical_rank(B_eff, alpha)-th order statistic
+    of the column's B_eff values; the p-value is (1 + #{boot >= observed}) /
+    (B_eff + 1), ties counted; the hypothesis is rejected when the observed
+    value strictly exceeds the critical value.
+    """
+    b_eff = boot.shape[0]
+    crit = np.sort(boot, axis=0)[critical_rank(b_eff, alpha) - 1]
+    p_value = (1 + np.sum(boot >= observed, axis=0)) / (b_eff + 1)
+    return crit, p_value, observed > crit
 
 
 def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
@@ -311,22 +318,17 @@ def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
     x = as_values(s)
     fit, observed, boot, failed = bootstrap_replicates(
         x, family, [stat], B, lambda j: rng.child("rep", j))
-    observed = float(observed[0])
-
-    vals = np.sort(boot[:, 0])
-    b_eff = vals.size
-    crit = float(vals[critical_rank(b_eff, alpha) - 1])
-    p_value = float((1 + np.sum(vals >= observed)) / (b_eff + 1))
+    (crit,), (p_value,), (reject,) = decide(observed, boot, alpha)
     return TestOutcome(
         family=family,
         statistic=stat.label,
-        statistic_value=observed,
-        critical_value=crit,
-        p_value=p_value,
-        reject=bool(observed > crit),
+        statistic_value=float(observed[0]),
+        critical_value=float(crit),
+        p_value=float(p_value),
+        reject=bool(reject),
         fit=fit,
         B=B,
-        effective_B=int(b_eff),
+        effective_B=boot.shape[0],
         alpha=alpha,
         n=int(x.size),
         failed_replicates=failed,

@@ -407,25 +407,10 @@ class ConditionReport:
 
     def to_dict(self) -> dict:
         def clean(v):
-            if v is None:
-                return None
             if isinstance(v, float) and not math.isfinite(v):
                 return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
             return v
-        return {
-            "family": self.family,
-            "params": self.params,
-            "variant": self.variant,
-            "c2_sup_kappa": clean(self.c2_sup_kappa),
-            "c3_integral": clean(self.c3_integral),
-            "c3_form": self.c3_form,
-            "c4_limit": clean(self.c4_limit),
-            "c5_limit": clean(self.c5_limit),
-            "boundary_limit": clean(self.boundary_limit),
-            "verdicts": dict(self.verdicts),
-            "supported": self.supported,
-            "grid": self.grid,
-        }
+        return {key: clean(v) for key, v in vars(self).items()}
 
 
 def _ratio_cdf_over_pdf(dist, x, side):

@@ -24,7 +24,7 @@ import sys
 
 from .bootstrap import FAMILIES, BootstrapError, bootstrap_test
 from .characterization import QuadratureError, check_conditions, default_operator, fixed_point_residual
-from .distributions import DomainError, ParameterError, RngStream, make_distribution
+from .distributions import DomainError, RngStream, make_distribution
 from .gof import STAT_NAMES, StatisticId
 from .simulation import ConfigError, config_from_dict, config_hash, render_table, run_power_study
 
@@ -164,10 +164,14 @@ def _cmd_test(args) -> int:
         return EXIT_NUMERICAL
 
     text = dumps(outcome.to_dict())
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
     sys.stdout.write(text)
+    if args.json:
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the outcome JSON: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_OK
 
 
@@ -185,9 +189,13 @@ def _cmd_simulate(args) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_INPUT
 
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create the output directory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     # a replicate whose bootstrap fails is counted in its cells, not raised
     report = run_power_study(cfg, workers=args.threads)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(dumps(report.to_dict()))
     with open(os.path.join(args.out, "report.csv"), "w") as fh:
@@ -201,17 +209,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        params = parse_params(args.params)
-        dist = make_distribution(args.family, **params)
-    except (ParameterError, ValueError) as exc:
+        dist = make_distribution(args.family, **parse_params(args.params))
+        if not args.quad_tol > 0:
+            raise ValueError(f"--quad-tol must be > 0, got {args.quad_tol!r}")
+        report = check_conditions(dist, grid_size=args.grid)
+    except ValueError as exc:  # a ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    try:
-        report = check_conditions(dist, grid_size=args.grid)
-    except ValueError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
     residual = None
     residual_note = ""

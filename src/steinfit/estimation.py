@@ -36,13 +36,7 @@ class FitResult:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "converged": self.converged,
-            "loglik": self.loglik,
-            "iterations": self.iterations,
-            "message": self.message,
-        }
+        return {**vars(self), "params": dict(self.params)}
 
 
 # --------------------------------------------------------------------------

@@ -24,14 +24,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bootstrap import (
     FAMILIES,
     BootstrapError,
     bootstrap_replicates,
     bootstrap_test,
-    critical_rank,
+    check_statistics,
+    decide,
 )
 # unused here, but bench/tracer.py wraps these names in this module's namespace
 from .bootstrap import evaluate_statistic, fit_family_retry, fitted_distribution  # noqa: F401
@@ -82,6 +81,13 @@ class PowerStudyConfig:
         labels = [stat.label for stat in self.statistics]
         if len(set(labels)) != len(labels):
             problems.append("statistics: labels must be unique")
+        if self.family not in FAMILIES:
+            problems.append(f"family: expected one of {'/'.join(FAMILIES)}, got {self.family!r}")
+        else:
+            try:
+                check_statistics(self.family, self.statistics)
+            except ValueError as exc:
+                problems.append(f"statistics: {exc}")
         if problems:
             raise ConfigError(problems)
         return self
@@ -143,9 +149,6 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
         problems.append("alternatives: must be non-empty")
 
     family = doc.get("family", "burr")
-    if family not in FAMILIES:
-        problems.append(f"family: expected one of {'/'.join(FAMILIES)}, got {family!r}")
-
     share = doc.get("share_bootstrap", True)
     if not isinstance(share, bool):
         problems.append(f"share_bootstrap: expected a boolean, got {share!r}")
@@ -239,62 +242,43 @@ class PowerStudyReport:
 
 def _run_one_replicate(cfg: PowerStudyConfig, alt_label: str, alt: DistributionSpec,
                        rep: int):
-    """One Monte Carlo replicate: either a dict {stat_label: reject} or None
-    when the replicate failed (fit breakdown)."""
+    """One Monte Carlo replicate: each statistic's decision, in config order,
+    or None when the replicate failed (fit breakdown)."""
     root = RngStream(cfg.seed).child("alt", alt_label, "rep", rep)
     x = sample(alt, cfg.n, root.child("data")).values
     try:
         if not cfg.share_bootstrap:
-            return {stat.label: bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,
-                                               root.child("stat", stat.label)).reject
-                    for stat in cfg.statistics}
+            return [bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,
+                                   root.child("stat", stat.label)).reject
+                    for stat in cfg.statistics]
         _, observed, boot, _ = bootstrap_replicates(
             x, cfg.family, cfg.statistics, cfg.bootstrap_B, lambda b: root.child("boot", b))
     except (BootstrapError, ValueError):  # a FitError is a ValueError
         return None
-    crit = np.sort(boot, axis=0)[critical_rank(boot.shape[0], cfg.alpha) - 1]
-    return {stat.label: bool(obs > c) for stat, obs, c in zip(cfg.statistics, observed, crit)}
-
-
-def _run_chunk(args):
-    cfg, alt_label, alt, reps = args
-    return alt_label, [(rep, _run_one_replicate(cfg, alt_label, alt, rep)) for rep in reps]
+    return decide(observed, boot, cfg.alpha)[2].tolist()
 
 
 def run_power_study(cfg: PowerStudyConfig, workers: int = 1) -> PowerStudyReport:
     """Execute the study; identical output for any worker count."""
     cfg.validate()
     start = time.perf_counter()
-    results = {lbl: {} for lbl, _ in cfg.alternatives}
-
-    tasks = []
+    jobs = [(cfg, alt_label, alt, rep) for alt_label, alt in cfg.alternatives
+            for rep in range(cfg.mc_reps)]
     chunk = max(1, math.ceil(cfg.mc_reps / max(1, 4 * workers)))
-    for alt_label, alt in cfg.alternatives:
-        for lo in range(0, cfg.mc_reps, chunk):
-            tasks.append((cfg, alt_label, alt, range(lo, min(lo + chunk, cfg.mc_reps))))
-
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(jobs) > chunk:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for alt_label, pairs in pool.map(_run_chunk, tasks):
-                results[alt_label].update(dict(pairs))
+            outcomes = list(pool.map(_run_one_replicate, *zip(*jobs), chunksize=chunk))
     else:
-        for task in tasks:
-            alt_label, pairs = _run_chunk(task)
-            results[alt_label].update(dict(pairs))
+        outcomes = [_run_one_replicate(*job) for job in jobs]
 
     report = PowerStudyReport(config=cfg)
-    for alt_label, _ in cfg.alternatives:
-        per_rep = [results[alt_label][rep] for rep in range(cfg.mc_reps)]
-        failures = sum(1 for r in per_rep if r is None)
+    for i, (alt_label, _) in enumerate(cfg.alternatives):
+        done = [r for r in outcomes[i * cfg.mc_reps:(i + 1) * cfg.mc_reps] if r is not None]
+        failures = cfg.mc_reps - len(done)
         aborted = failures > MAX_CELL_FAILURE_FRACTION * cfg.mc_reps
-        for stat in cfg.statistics:
-            cell = CellResult(failures=failures, aborted=aborted)
-            for r in per_rep:
-                if r is None:
-                    continue
-                cell.reps += 1
-                cell.rejections += int(r[stat.label])
-            report.cells[(alt_label, stat.label)] = cell
+        for j, stat in enumerate(cfg.statistics):
+            report.cells[(alt_label, stat.label)] = CellResult(
+                sum(r[j] for r in done), len(done), failures, aborted)
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -325,8 +309,7 @@ def render_table(report: PowerStudyReport, format: str = "markdown") -> str:
             for stat in stat_labels:
                 cell = report.cells[(alt, stat)]
                 mark = "*" if cell.aborted else ""
-                row.append(("" if cell.reps else "-") if not cell.reps
-                           else f"{_round_half_away(100.0 * cell.rate)}{mark}")
+                row.append(f"{_round_half_away(100.0 * cell.rate)}{mark}" if cell.reps else "-")
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ from steinfit.bootstrap import (
     bootstrap_replicates,
     bootstrap_test,
     critical_rank,
+    decide,
     evaluate_statistic,
     fit_family_retry,
     fitted_distribution,
@@ -114,6 +115,27 @@ def test_p_value_tie_convention():
         assert not out.reject
     finally:
         bs.evaluate_statistic, bs.replicate_statistics = orig
+
+
+def test_decide_counts_ties():
+    # rank ceil(0.5 * 4) = 2: both columns' critical value is 2.0
+    boot = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 3.0], [2.0, 4.0]])
+    crit, p_value, reject = decide(np.array([2.0, 2.5]), boot, 0.5)
+    assert crit.tolist() == [2.0, 2.0]
+    # an observed value equal to the critical value is not rejected
+    assert reject.tolist() == [False, True]
+    # ties count: (1 + 3) / 5 and (1 + 2) / 5
+    assert p_value.tolist() == [4 / 5, 3 / 5]
+
+
+def test_decide_on_one_column_is_bootstrap_test():
+    x = burr_data(n=50, seed=21)
+    stat, rng = StatisticId("ad"), RngStream(4, 2)
+    out = bootstrap_test(x, "burr", stat, B=40, alpha=0.1, rng=rng)
+    _, observed, boot, _ = bootstrap_replicates(x, "burr", [stat], 40,
+                                                lambda j: rng.child("rep", j))
+    (crit,), (p_value,), (reject,) = decide(observed, boot, 0.1)
+    assert (out.critical_value, out.p_value, out.reject) == (crit, p_value, reject)
 
 
 def test_replicates_use_their_own_refits(monkeypatch):

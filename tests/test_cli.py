@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,16 @@ def test_cmd_test_weight_out_of_range_exit_2(burr_file, capsys, a):
     assert err.startswith("error: ") and "weight parameter" in err
 
 
+def test_cmd_test_unwritable_json_exit_2(burr_file, tmp_path, capsys):
+    # the outcome still reaches stdout; the path's error is an input error
+    code = main(["test", "--data", burr_file, "--family", "burr", "--stat", "ks",
+                 "--B", "20", "--seed", "1", "--json", str(tmp_path / "missing" / "o.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert json.loads(out)["statistic"] == "KS"
+
+
 def test_cmd_test_byte_identical_reruns(burr_file):
     code1, out1, _ = run_cli(["test", "--data", burr_file, "--family", "burr",
                               "--stat", "cvm", "--B", "30", "--seed", "7"])
@@ -238,6 +250,50 @@ def test_cmd_verify_arcsine_beta_unsupported(capsys):
 def test_cmd_verify_unknown_family(capsys):
     code = main(["verify", "--family", "nosuch"])
     assert code == 2
+
+
+def test_cmd_verify_small_grid_exit_2(capsys):
+    code = main(["verify", "--family", "burr_xii", "--params", "k=1,c=1", "--grid", "50"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: grid_size must be >= 100\n"
+
+
+def test_cmd_verify_quad_tol_must_be_positive(capsys):
+    code = main(["verify", "--family", "burr_xii", "--params", "k=1,c=1", "--quad-tol", "-1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: --quad-tol must be > 0, got -1.0\n"
+
+
+FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
+def documented_keys(heading):
+    """The keys of the JSON example under ``heading`` in docs/formats.md, in
+    the order they appear."""
+    block = FORMATS.read_text().split(heading, 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    return re.findall(r'"(\w+)":', block)
+
+
+def key_walk(doc):
+    """The keys of a JSON object and of the objects nested in it, depth first."""
+    keys = []
+    for key, value in doc.items():
+        keys.append(key)
+        if isinstance(value, dict):
+            keys += key_walk(value)
+    return keys
+
+
+def test_json_key_order_is_the_documented_one(burr_file, capsys):
+    assert main(["test", "--data", burr_file, "--family", "burr", "--stat", "B",
+                 "--B", "20", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert key_walk(doc) == documented_keys("## Test outcome JSON")
+    assert main(["verify", "--family", "burr_xii", "--params", "k=1,c=1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert key_walk(doc) == documented_keys("## Verify JSON")
 
 
 def test_main_reuses_its_parser_across_calls(burr_file, tmp_path, capsys, monkeypatch):
@@ -310,6 +366,20 @@ def test_cmd_simulate_weight_must_be_a_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: statistics[1]: ")
+
+
+def test_cmd_simulate_out_is_a_file_exit_2(tmp_path, capsys, monkeypatch):
+    # the output directory is checked before the study starts
+    import steinfit.cli as cli
+    monkeypatch.setattr(cli, "run_power_study", lambda *args, **kwargs: pytest.fail("ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIM_DOC))
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "a file\n"
 
 
 def test_cmd_simulate_thread_count_invariant(tmp_path):

@@ -44,11 +44,13 @@ def test_determinism_same_seed_same_report():
 
 
 def test_determinism_across_worker_counts():
-    cfg = small_config()
-    r1 = run_power_study(cfg, workers=1)
-    r2 = run_power_study(cfg, workers=2)
-    assert {k: (c.rejections, c.reps) for k, c in r1.cells.items()} == \
-        {k: (c.rejections, c.reps) for k, c in r2.cells.items()}
+    # 7 replicates of 3 alternatives: the pool's chunks straddle alternatives
+    cfg = small_config(mc_reps=7, alternatives=(("Burr(1,1)", BURR11), ("W(0.5)", W05),
+                                                ("Exp(1)", make_distribution("exponential", lam=1))))
+    docs = [run_power_study(cfg, workers=workers).to_dict() for workers in (1, 2)]
+    for doc in docs:
+        del doc["wall_time_s"]
+    assert docs[0] == docs[1]
 
 
 def test_cell_independence_under_alternative_deletion():
@@ -171,6 +173,33 @@ def test_config_rejects_statistics_with_one_label(tmp_path, capsys, stats):
     assert code == 2
     assert capsys.readouterr().err == "config error: statistics: labels must be unique\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", ["gamma", "normal"])
+def test_config_rejects_B_under_another_family(tmp_path, capsys, family):
+    # B_{n,a} is defined for the Burr family only: a config error, not a
+    # study whose every replicate fails
+    doc = dict(GOOD_DOC, family=family)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    problem = "statistics: the burr_B statistic applies to the burr family only"
+    assert err.value.problems == [problem]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_an_unknown_family():
+    with pytest.raises(ConfigError) as err:
+        small_config(family="weibull").validate()
+    assert err.value.problems == ["family: expected one of burr/gamma/normal, got 'weibull'"]
+    with pytest.raises(ConfigError):
+        run_power_study(small_config(family="weibull", mc_reps=1))
+    with pytest.raises(ConfigError, match="family: expected one of"):
+        config_from_dict(dict(GOOD_DOC, family="weibull"))
 
 
 def test_config_json_serializable():
