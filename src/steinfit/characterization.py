@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     DistributionSpec,
@@ -120,6 +119,8 @@ def _quad(f, a, b, breakpoints=(), quad_tol=1e-9, limit=200):
     smooth; infinite endpoints are handled by the QUADPACK transformations.
     """
     import warnings as _warnings
+
+    from scipy import integrate
 
     pts = sorted({float(p) for p in breakpoints if a < p < b})
     edges = [a] + pts + [b]
@@ -575,6 +576,8 @@ def _c3_integral(dist, integrand):
     edges = [e for e in edges if sup.left < e < sup.right]
     if len(edges) < 2:
         return math.inf, False
+
+    from scipy import integrate
 
     def piece(lo, hi):
         try:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distributions import as_values, log_likelihood, make_distribution
 
@@ -102,24 +101,118 @@ def burr_mle(s) -> FitResult:
     for expansion in range(MAX_EXPANSIONS + 1):
         # a +inf profile makes Brent's parabolic step nan; golden section is taken
         with np.errstate(invalid="ignore"):
-            res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-10, "maxiter": 500})
-        nfev += res.nfev
-        edge = min(res.x - lo, hi - res.x) < ROWS_EDGE_TOL
+            lc_hat, calls, success = _bounded_brent(neg_profile, lo, hi, xatol=1e-10, maxiter=500)
+        nfev += calls
+        edge = min(lc_hat - lo, hi - lc_hat) < ROWS_EDGE_TOL
         if not edge:
             break
         lo -= math.log(10.0)
         hi += math.log(10.0)
-    c_hat = math.exp(res.x)
+    c_hat = math.exp(lc_hat)
     with np.errstate(divide="ignore", over="ignore"):
         k_hat = burr_profile_k(x, c_hat)
     if not math.isfinite(k_hat):
         raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
     ll = burr_loglik(x, k_hat, c_hat)
-    converged = bool(res.success) and not edge
+    converged = success and not edge
     msg = "" if converged else "profile maximizer on the c-bracket edge after expansion"
     return FitResult(params={"k": k_hat, "c": c_hat}, converged=converged,
                      loglik=ll, iterations=nfev, message=msg)
+
+
+def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
+    """Minimize func on [x1, x2] by Brent's bounded method: golden-section
+    steps with parabolic interpolation.  Returns (x, nfev, success); success
+    is False when maxiter evaluations run out or a value is nan.
+    """
+    # The loop of scipy's _minimize_scalar_bounded (scipy/optimize/_optimize.py,
+    # BSD-3-Clause), step for step and with its numpy scalar arithmetic, so
+    # every iterate has the bits of minimize_scalar(method="bounded").
+    flag = 0
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            flag = 1
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        flag = 2
+    return xf, num, flag == 0
 
 
 ROWS_UTOL = 1e-10  # a row is frozen once its step in log c falls below this

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .distributions import as_values
@@ -316,6 +315,8 @@ def _L2_adaptive(deviation, x, a, lo):
     """Black-box adaptive quadrature of n * integral_lo^inf deviation(t)^2
     exp(-a t) dt, split at the observations above lo.  Slow; the tests'
     independent check of generic_L2."""
+    from scipy import integrate
+
     x = np.sort(as_values(x))
     edges = [lo] + list(x[x > lo]) + [math.inf]
     total = 0.0

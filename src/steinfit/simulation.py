@@ -266,7 +266,8 @@ def run_power_study(cfg: PowerStudyConfig, workers: int = 1) -> PowerStudyReport
             for rep in range(cfg.mc_reps)]
     chunk = max(1, math.ceil(cfg.mc_reps / max(1, 4 * workers)))
     if workers > 1 and len(jobs) > chunk:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at once: no more than it has chunks
+        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(len(jobs) / chunk))) as pool:
             outcomes = list(pool.map(_run_one_replicate, *zip(*jobs), chunksize=chunk))
     else:
         outcomes = [_run_one_replicate(*job) for job in jobs]

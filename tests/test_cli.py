@@ -321,6 +321,31 @@ def test_main_reuses_its_parser_across_calls(burr_file, tmp_path, capsys, monkey
     assert codes == [0, 2, 0, 0]
 
 
+def test_import_and_tests_load_no_optimize_or_quadrature(burr_file, tmp_path):
+    # a fresh interpreter imports the CLI and runs a Burr B and a gamma L2
+    # test; only scipy.special of scipy's subpackages may be loaded
+    gamma_file = tmp_path / "gamma.txt"
+    gamma = sample(make_distribution("gamma", k=2, lam=1), 100, RngStream(8)).values
+    gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
+    code = f"""
+import contextlib, io, sys
+import steinfit.cli
+calls = [["test", "--data", {burr_file!r}, "--family", "burr", "--stat", "B", "--B", "20"],
+         ["test", "--data", {str(gamma_file)!r}, "--family", "gamma", "--stat", "L2", "--a", "1",
+          "--B", "20"]]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert steinfit.cli.main(argv) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in
+                      (["scipy", "optimize"], ["scipy", "integrate"],
+                       ["scipy", "linalg"], ["scipy", "sparse"]))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 # --------------------------------------------------------------------------
 # simulate subcommand
 # --------------------------------------------------------------------------

@@ -121,6 +121,94 @@ def test_burr_mle_rows_matches_brent_oracle():
     assert left <= 5
 
 
+def _neg_profile(x):
+    """burr_mle's objective: minus the profile log-likelihood in u = log c."""
+    logx, n = np.log(x), x.size
+
+    def f(u):
+        c = math.exp(u)
+        t = np.logaddexp(0.0, c * logx).sum()
+        if t == 0.0:
+            return math.inf
+        return -(n * u + n * (math.log(n) - math.log(t)) + (c - 1) * logx.sum() - n - t)
+    return f
+
+
+def _scipy_bounded(f, lo, hi, xatol, maxiter):
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    return res.x, res.nfev, res.success
+
+
+def _brent_cases():
+    bracket = (math.log(1e-3), math.log(1e3))
+    rng = np.random.default_rng(5)
+    for i in range(8):  # ordinary Burr profiles
+        x = draw("burr_xii", int(rng.integers(5, 200)), i,
+                 k=rng.uniform(0.3, 4), c=rng.uniform(0.3, 6))
+        yield pytest.param(_neg_profile(x), bracket, 500, True, id=f"burr{i}")
+    # +inf above c of about 10, where every x^c underflows
+    x = rng.uniform(1e-32, 1e-30, 50)
+    yield pytest.param(_neg_profile(x), bracket, 500, True, id="underflow")
+    # the profile still rises at c = 1e3: the minimizer is on the bracket's edge
+    x = draw("burr_xii", 80, 42, k=1.0, c=3000.0)
+    yield pytest.param(_neg_profile(x), bracket, 500, True, id="edge")
+    x = draw("burr_xii", 100, 7, k=2.0, c=1.5)
+    yield pytest.param(_neg_profile(x), bracket, 6, False, id="maxiter")
+    yield pytest.param(lambda u: math.nan, bracket, 500, False, id="nan_everywhere")
+    # the search runs into the nan half and ends on a nan value
+    yield pytest.param(lambda u: math.nan if u < 0.0 else u, (-3.0, 4.0), 500, False,
+                       id="nan_left")
+
+
+@pytest.mark.parametrize("f, bracket, maxiter, success", _brent_cases())
+def test_bounded_brent_is_scipys_bit_for_bit(f, bracket, maxiter, success):
+    with np.errstate(invalid="ignore"):
+        ours = estimation._bounded_brent(f, *bracket, xatol=1e-10, maxiter=maxiter)
+        ref = _scipy_bounded(f, *bracket, xatol=1e-10, maxiter=maxiter)
+    assert np.float64(ours[0]).tobytes() == np.float64(ref[0]).tobytes()
+    assert ours[1:] == ref[1:]
+    assert ours[2] is success
+
+
+def _pin_samples():
+    """200 samples, n = 2..200: Burr draws, spreads up to 10^+-200,
+    near-constant samples, values near 1e300 and samples just above 1, whose
+    maximizer lies past the first bracket (often past the widest)."""
+    rng = np.random.default_rng(20261019)
+    for i in range(200):
+        n = int(rng.integers(2, 201))
+        kind = i % 5
+        if kind == 0:
+            yield draw("burr_xii", n, i, k=rng.uniform(0.2, 5), c=rng.uniform(0.2, 8))
+        elif kind == 1:
+            logx = rng.uniform(-460, 460) + rng.uniform(0.1, 200) * rng.standard_normal(n)
+            yield np.exp(np.clip(logx, -700, 700))
+        elif kind == 2:
+            yield rng.uniform(0.1, 10) * (1.0 + 10.0 ** -rng.uniform(6, 14) * rng.random(n))
+        elif kind == 3:
+            yield rng.uniform(1e299, 1e300, n) * rng.uniform(0.001, 1.0)
+        else:
+            yield 1.0 + 10.0 ** -rng.uniform(2, 9) * rng.random(n)
+
+
+def _fit_or_error(x):
+    try:
+        return burr_mle(x).to_dict()
+    except FitError as exc:
+        return str(exc)
+
+
+def test_burr_mle_is_unchanged_from_scipys_bounded_brent(monkeypatch):
+    samples = list(_pin_samples())
+    ours = [_fit_or_error(x) for x in samples]
+    monkeypatch.setattr(estimation, "_bounded_brent", _scipy_bounded)
+    assert [_fit_or_error(x) for x in samples] == ours
+    assert sum(isinstance(fit, dict) for fit in ours) >= 150
+
+
 def test_burr_mle_rows_rows_are_independent_of_the_batch():
     rng = np.random.default_rng(8)
     X = np.array([draw("burr_xii", 60, int(s), k=rng.uniform(0.5, 3), c=rng.uniform(0.5, 4))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from steinfit import simulation
 from steinfit.cli import main
 from steinfit.distributions import make_distribution
 from steinfit.gof import StatisticId
@@ -50,6 +51,24 @@ def test_determinism_across_worker_counts():
     docs = [run_power_study(cfg, workers=workers).to_dict() for workers in (1, 2)]
     for doc in docs:
         del doc["wall_time_s"]
+    assert docs[0] == docs[1]
+
+
+def test_pool_is_no_larger_than_its_chunks(monkeypatch):
+    # 2 replicates at workers=6 make 2 chunks of 1: the pool gets 2 workers
+    sizes = []
+
+    class RecordingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_config(mc_reps=2, alternatives=(("W(0.5)", W05),))
+    docs = [run_power_study(cfg, workers=workers).to_dict() for workers in (1, 6)]
+    for doc in docs:
+        del doc["wall_time_s"]
+    assert sizes == [2]
     assert docs[0] == docs[1]
 
 
