@@ -120,7 +120,10 @@ def _gamma_rows(X: np.ndarray, fit: FitResult):
     mean, var = moments_rows(X)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         params = {"k": mean * mean / var, "lam": var / mean}
-    return params, np.all(X > 0, axis=1) & _moments_ok(mean, var)
+    # the rows on which gamma_fit raises no FitError
+    ok = (np.all(X > 0, axis=1) & _moments_ok(mean, var)
+          & np.isfinite(params["k"]) & np.isfinite(params["lam"]))
+    return params, ok
 
 
 def _normal_rows(X: np.ndarray, fit: FitResult):

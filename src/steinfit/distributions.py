@@ -1,15 +1,15 @@
 """Catalog of continuous univariate distributions.
 
 Every family is one record (``_Family``) holding everything the catalog
-knows about it: log-density, density (by default the exponential of the
-log-density), distribution function, survival function, quantile, score
-(derivative of the log-density) and, where the family needs them, a draw
-map from uniforms to variates, a direct sampler, and the limit of the
-density at a finite support endpoint.  The operations below read the record
-and never branch on a family's name; sampling is driven by a reproducible
-counter-based RNG stream.  The catalog covers both the hypothesis families
-used by the goodness-of-fit tests and the alternatives used in the power
-studies.
+knows about it: which parameters must be positive, log-density (the
+density is its exponential), distribution function, survival function,
+quantile, score (derivative of the log-density) and, where the family needs
+them, a draw map from uniforms to variates, a direct sampler, and the limit
+of the density at a finite support endpoint.  The operations below read the
+record and never branch on a family's name; sampling is driven by a
+reproducible counter-based RNG stream.  The catalog covers both the
+hypothesis families used by the goodness-of-fit tests and the alternatives
+used in the power studies.
 
 Parametrizations
 ----------------
@@ -189,12 +189,6 @@ class RngStream:
 _INF = math.inf
 
 
-def _positive(p, *names):
-    for name in names:
-        if not p[name] > 0:
-            raise ParameterError(f"parameter '{name}' must be > 0, got {p[name]}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class _Family:
     """Everything the catalog knows about one family.  The callables take
@@ -202,9 +196,9 @@ class _Family:
     below read this record and never test a family's name."""
 
     names: tuple[str, ...]
+    positive: tuple[str, ...] = ()  # parameters that must be > 0
     support: Callable  # params -> Support
     logpdf: Callable
-    pdf: Callable  # _register makes it exp(logpdf) when left out
     cdf: Callable
     sf: Callable
     score: Callable
@@ -212,7 +206,6 @@ class _Family:
     draw: Callable | None = None  # uniforms -> variates, when not the quantile
     sampler: Callable | None = None  # (params, n, Generator) -> n variates, no uniforms
     endpoint_density: Callable | None = None  # (params, side) -> limit of p there
-    validate: Callable = lambda p: None
     defaults: dict = field(default_factory=dict)
 
 
@@ -220,8 +213,6 @@ _REGISTRY: dict[str, _Family] = {}
 
 
 def _register(tag, names, **fields):
-    logpdf = fields["logpdf"]
-    fields.setdefault("pdf", lambda p, x: np.exp(logpdf(p, x)))
     _REGISTRY[tag] = _Family(names=names, **fields)
 
 
@@ -230,9 +221,8 @@ _SQRT2PI = math.sqrt(2 * math.pi)
 _register(
     "normal", ("mu", "sigma2"),
     support=lambda p: Support(-_INF, _INF),
-    validate=lambda p: _positive(p, "sigma2"),
+    positive=("sigma2",),
     logpdf=lambda p, x: -0.5 * (x - p["mu"]) ** 2 / p["sigma2"] - 0.5 * math.log(2 * math.pi * p["sigma2"]),
-    pdf=lambda p, x: np.exp(-0.5 * (x - p["mu"]) ** 2 / p["sigma2"]) / (_SQRT2PI * math.sqrt(p["sigma2"])),
     cdf=lambda p, x: sp.ndtr((x - p["mu"]) / np.sqrt(p["sigma2"])),
     sf=lambda p, x: sp.ndtr(-(x - p["mu"]) / np.sqrt(p["sigma2"])),
     quantile=lambda p, u: p["mu"] + math.sqrt(p["sigma2"]) * sp.ndtri(u),
@@ -242,9 +232,8 @@ _register(
 _register(
     "laplace", ("mu", "sigma"),
     support=lambda p: Support(-_INF, _INF, (p["mu"],)),
-    validate=lambda p: _positive(p, "sigma"),
+    positive=("sigma",),
     logpdf=lambda p, x: -np.abs(x - p["mu"]) / p["sigma"] - math.log(2 * p["sigma"]),
-    pdf=lambda p, x: np.exp(-np.abs(x - p["mu"]) / p["sigma"]) / (2 * p["sigma"]),
     cdf=lambda p, x: np.where(x < p["mu"],
                               0.5 * np.exp(-np.abs(x - p["mu"]) / p["sigma"]),
                               1.0 - 0.5 * np.exp(-np.abs(x - p["mu"]) / p["sigma"])),
@@ -260,7 +249,7 @@ _register(
 _register(
     "gamma", ("k", "lam"),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "k", "lam"),
+    positive=("k", "lam"),
     logpdf=lambda p, x: ((p["k"] - 1) * np.log(x) - x / p["lam"]
                          - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
     cdf=lambda p, x: sp.gammainc(p["k"], x / p["lam"]),
@@ -272,9 +261,8 @@ _register(
 _register(
     "exponential", ("lam",),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "lam"),
+    positive=("lam",),
     logpdf=lambda p, x: math.log(p["lam"]) - p["lam"] * x,
-    pdf=lambda p, x: p["lam"] * np.exp(-p["lam"] * x),
     cdf=lambda p, x: -np.expm1(-p["lam"] * x),
     sf=lambda p, x: np.exp(-p["lam"] * x),
     quantile=lambda p, u: -np.log1p(-u) / p["lam"],
@@ -304,11 +292,9 @@ def _sample_inverse_gaussian(p, n, g):
 _register(
     "inverse_gaussian", ("mu", "lam"),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "mu", "lam"),
+    positive=("mu", "lam"),
     logpdf=lambda p, x: (0.5 * math.log(p["lam"] / (2 * math.pi)) - 1.5 * np.log(x)
                          - p["lam"] * (x - p["mu"]) ** 2 / (2 * p["mu"] ** 2 * x)),
-    pdf=lambda p, x: (math.sqrt(p["lam"] / (2 * math.pi)) * x ** -1.5
-                      * np.exp(-p["lam"] * (x - p["mu"]) ** 2 / (2 * p["mu"] ** 2 * x))),
     cdf=_ig_cdf,
     sf=lambda p, x: _ig_cdf(p, x, -1.0),
     sampler=_sample_inverse_gaussian,
@@ -318,11 +304,9 @@ _register(
 _register(
     "weibull", ("k", "lam"),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "k", "lam"),
+    positive=("k", "lam"),
     logpdf=lambda p, x: (math.log(p["k"] / p["lam"]) + (p["k"] - 1) * np.log(x / p["lam"])
                          - (x / p["lam"]) ** p["k"]),
-    pdf=lambda p, x: (p["k"] / p["lam"]) * (x / p["lam"]) ** (p["k"] - 1)
-                     * np.exp(-(x / p["lam"]) ** p["k"]),
     cdf=lambda p, x: -np.expm1(-(x / p["lam"]) ** p["k"]),
     sf=lambda p, x: np.exp(-(x / p["lam"]) ** p["k"]),
     quantile=lambda p, u: p["lam"] * (-np.log1p(-u)) ** (1.0 / p["k"]),
@@ -346,7 +330,7 @@ _register(
     "burr_xii", ("k", "c", "sigma"),
     defaults={"sigma": 1.0},
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "k", "c", "sigma"),
+    positive=("k", "c", "sigma"),
     logpdf=lambda p, x: (math.log(p["c"] * p["k"] / p["sigma"])
                          + (p["c"] - 1) * np.log(x / p["sigma"])
                          - (p["k"] + 1) * np.logaddexp(0.0, p["c"] * np.log(x / p["sigma"]))),
@@ -359,11 +343,9 @@ _register(
 _register(
     "levy", ("mu", "sigma"),
     support=lambda p: Support(p["mu"], _INF),
-    validate=lambda p: _positive(p, "sigma"),
+    positive=("sigma",),
     logpdf=lambda p, x: (0.5 * math.log(p["sigma"] / (2 * math.pi))
                          - 1.5 * np.log(x - p["mu"]) - p["sigma"] / (2 * (x - p["mu"]))),
-    pdf=lambda p, x: (math.sqrt(p["sigma"] / (2 * math.pi)) * (x - p["mu"]) ** -1.5
-                      * np.exp(-p["sigma"] / (2 * (x - p["mu"])))),
     cdf=lambda p, x: sp.erfc(np.sqrt(p["sigma"] / (2 * (x - p["mu"])))),
     sf=lambda p, x: sp.erf(np.sqrt(p["sigma"] / (2 * (x - p["mu"])))),
     quantile=lambda p, u: p["mu"] + p["sigma"] / (2 * sp.erfcinv(u) ** 2),
@@ -374,10 +356,9 @@ _register(
 _register(
     "lognormal", ("mu", "sigma"),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "sigma"),
+    positive=("sigma",),
     logpdf=lambda p, x: (-np.log(x) - math.log(p["sigma"] * _SQRT2PI)
                          - (np.log(x) - p["mu"]) ** 2 / (2 * p["sigma"] ** 2)),
-    pdf=lambda p, x: np.exp(-(np.log(x) - p["mu"]) ** 2 / (2 * p["sigma"] ** 2)) / (x * p["sigma"] * _SQRT2PI),
     cdf=lambda p, x: sp.ndtr((np.log(x) - p["mu"]) / p["sigma"]),
     sf=lambda p, x: sp.ndtr(-(np.log(x) - p["mu"]) / p["sigma"]),
     quantile=lambda p, u: np.exp(p["mu"] + p["sigma"] * sp.ndtri(u)),
@@ -396,7 +377,7 @@ def _beta_endpoint_density(p, side):
 _register(
     "beta", ("alpha", "beta"),
     support=lambda p: Support(0.0, 1.0),
-    validate=lambda p: _positive(p, "alpha", "beta"),
+    positive=("alpha", "beta"),
     logpdf=lambda p, x: ((p["alpha"] - 1) * np.log(x) + (p["beta"] - 1) * np.log1p(-x)
                          - sp.betaln(p["alpha"], p["beta"])),
     cdf=lambda p, x: sp.betainc(p["alpha"], p["beta"], x),
@@ -410,9 +391,7 @@ _register(
     "uniform", ("left", "right"),
     defaults={"left": 0.0, "right": 1.0},
     support=lambda p: Support(p["left"], p["right"]),
-    validate=lambda p: None if p["left"] < p["right"] else _raise(ParameterError("left must be < right")),
     logpdf=lambda p, x: np.full_like(np.asarray(x, dtype=float), -math.log(p["right"] - p["left"])),
-    pdf=lambda p, x: np.full_like(np.asarray(x, dtype=float), 1.0 / (p["right"] - p["left"])),
     cdf=lambda p, x: (x - p["left"]) / (p["right"] - p["left"]),
     sf=lambda p, x: (p["right"] - np.asarray(x, dtype=float)) / (p["right"] - p["left"]),
     quantile=lambda p, u: p["left"] + (p["right"] - p["left"]) * u,
@@ -424,7 +403,6 @@ _register(
     "half_normal", (),
     support=lambda p: Support(0.0, _INF),
     logpdf=lambda p, x: 0.5 * math.log(2 / math.pi) - x ** 2 / 2,
-    pdf=lambda p, x: math.sqrt(2 / math.pi) * np.exp(-(x ** 2) / 2),
     cdf=lambda p, x: sp.erf(x / math.sqrt(2)),
     sf=lambda p, x: sp.erfc(x / math.sqrt(2)),
     quantile=lambda p, u: sp.ndtri((1.0 + u) / 2.0),
@@ -436,7 +414,6 @@ _register(
     "half_cauchy", (),
     support=lambda p: Support(0.0, _INF),
     logpdf=lambda p, x: math.log(2 / math.pi) - np.log1p(x ** 2),
-    pdf=lambda p, x: 2.0 / (math.pi * (1 + x ** 2)),
     cdf=lambda p, x: (2 / math.pi) * np.arctan(x),
     sf=lambda p, x: (2 / math.pi) * np.arctan(1.0 / np.asarray(x, dtype=float)),
     quantile=lambda p, u: np.tan(math.pi * u / 2),
@@ -453,7 +430,7 @@ def _gompertz_tail_exponent(p, x):
 _register(
     "gompertz", ("theta",),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "theta"),
+    positive=("theta",),
     logpdf=lambda p, x: x - math.log(p["theta"]) - _gompertz_tail_exponent(p, x),
     cdf=lambda p, x: -np.expm1(-_gompertz_tail_exponent(p, x)),
     sf=lambda p, x: np.exp(-_gompertz_tail_exponent(p, x)),
@@ -472,9 +449,8 @@ def _lf_quantile(p, u):
 _register(
     "linear_failure_rate", ("theta",),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "theta"),
+    positive=("theta",),
     logpdf=lambda p, x: np.log1p(p["theta"] * x) - x - p["theta"] * x ** 2 / 2,
-    pdf=lambda p, x: (1 + p["theta"] * x) * np.exp(-x - p["theta"] * x ** 2 / 2),
     cdf=lambda p, x: -np.expm1(-x - p["theta"] * x ** 2 / 2),
     sf=lambda p, x: np.exp(-x - p["theta"] * x ** 2 / 2),
     quantile=_lf_quantile,
@@ -484,9 +460,8 @@ _register(
 _register(
     "inverse_weibull", ("theta",),
     support=lambda p: Support(0.0, _INF),
-    validate=lambda p: _positive(p, "theta"),
+    positive=("theta",),
     logpdf=lambda p, x: math.log(p["theta"]) - (p["theta"] + 1) * np.log(x) - x ** -p["theta"],
-    pdf=lambda p, x: p["theta"] * x ** -(p["theta"] + 1) * np.exp(-(x ** -p["theta"])),
     cdf=lambda p, x: np.exp(-(x ** -p["theta"])),
     sf=lambda p, x: -np.expm1(-(x ** -p["theta"])),
     quantile=lambda p, u: (-np.log(u)) ** (-1.0 / p["theta"]),
@@ -496,7 +471,7 @@ _register(
 _register(
     "shifted_gamma", ("k", "lam", "mu"),
     support=lambda p: Support(p["mu"], _INF),
-    validate=lambda p: _positive(p, "k", "lam"),
+    positive=("k", "lam"),
     logpdf=lambda p, x: ((p["k"] - 1) * np.log(x - p["mu"]) - (x - p["mu"]) / p["lam"]
                          - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
     cdf=lambda p, x: sp.gammainc(p["k"], (x - p["mu"]) / p["lam"]),
@@ -506,10 +481,6 @@ _register(
 )
 
 
-def _raise(exc):
-    raise exc
-
-
 FAMILIES = tuple(_REGISTRY)
 
 
@@ -517,7 +488,8 @@ def make_distribution(family: str, **params) -> DistributionSpec:
     """Construct and validate a catalog entry.
 
     Raises ParameterError for unknown families, unknown/missing parameter
-    names, or parameter values violating the family constraints.
+    names, non-finite values, values the family needs positive that are not,
+    and parameters that give no valid support.
     """
     if family not in _REGISTRY:
         raise ParameterError(f"unknown family '{family}'; known: {', '.join(FAMILIES)}")
@@ -530,7 +502,12 @@ def make_distribution(family: str, **params) -> DistributionSpec:
     missing = [nm for nm in fam.names if nm not in full]
     if missing:
         raise ParameterError(f"family '{family}' missing parameters: {missing}")
-    fam.validate(full)
+    for name, val in full.items():
+        if not math.isfinite(val):
+            raise ParameterError(f"parameter '{name}' must be finite, got {val}")
+    for name in fam.positive:
+        if not full[name] > 0:
+            raise ParameterError(f"parameter '{name}' must be > 0, got {full[name]}")
     support = fam.support(full)
     ordered = tuple((nm, full[nm]) for nm in fam.names)
     return DistributionSpec(family, ordered, support)
@@ -557,12 +534,12 @@ def _interior(dist: DistributionSpec, fn: str, x):
 
 
 def pdf(dist: DistributionSpec, x):
-    """Density p(x); raises DomainError outside the open support."""
-    return _interior(dist, "pdf", x)
+    """Density p(x) = exp(log p(x)); raises DomainError outside the open support."""
+    return _scalarize(x, np.exp(logpdf(dist, x)))
 
 
 def logpdf(dist: DistributionSpec, x):
-    """log p(x), computed directly (not via log o pdf) for tail stability."""
+    """log p(x); raises DomainError outside the open support."""
     return _interior(dist, "logpdf", x)
 
 

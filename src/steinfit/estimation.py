@@ -294,6 +294,8 @@ def gamma_fit(s) -> FitResult:
     mean, var = _moments(x)
     k = mean * mean / var
     lam = var / mean
+    if not (math.isfinite(k) and math.isfinite(lam)):
+        raise FitError(f"the gamma moment fit overflows (k {k:.6g}, lam {lam:.6g})")
     ll = log_likelihood(make_distribution("gamma", k=k, lam=lam), x)
     return FitResult(params={"k": k, "lam": lam}, converged=True, loglik=ll, iterations=0)
 

@@ -17,7 +17,9 @@ other alternatives appear in the config.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -297,16 +299,21 @@ def render_table(report: PowerStudyReport, format: str = "markdown") -> str:
 
     markdown: integer rejection percentages (rounded half away from zero).
     csv: unrounded rates plus rejection and replicate counts.
+    A label holding ``|`` is escaped in markdown; one holding a comma or a
+    quote is quoted in csv.
     """
     cfg = report.config
     stat_labels = [s.label for s in cfg.statistics]
     alt_labels = [lbl for lbl, _ in cfg.alternatives]
 
     if format == "markdown":
-        lines = ["| Alt./Test | " + " | ".join(stat_labels) + " |",
+        def md(label):
+            return label.replace("|", "\\|")
+
+        lines = ["| Alt./Test | " + " | ".join(map(md, stat_labels)) + " |",
                  "|" + "---|" * (len(stat_labels) + 1)]
         for alt in alt_labels:
-            row = [alt]
+            row = [md(alt)]
             for stat in stat_labels:
                 cell = report.cells[(alt, stat)]
                 mark = "*" if cell.aborted else ""
@@ -318,14 +325,16 @@ def render_table(report: PowerStudyReport, format: str = "markdown") -> str:
         header = ["alternative"]
         for stat in stat_labels:
             header += [f"{stat}_rate", f"{stat}_rejections", f"{stat}_reps"]
-        lines = [",".join(header)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
         for alt in alt_labels:
             row = [alt]
             for stat in stat_labels:
                 cell = report.cells[(alt, stat)]
                 rate = "" if not cell.reps else repr(cell.rate)
-                row += [rate, str(cell.rejections), str(cell.reps)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+                row += [rate, cell.rejections, cell.reps]
+            writer.writerow(row)
+        return out.getvalue()
 
     raise ValueError("format must be 'markdown' or 'csv'")

@@ -369,16 +369,22 @@ def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
 
 def test_moment_row_fits_fail_rows_whose_moments_overflow():
     # the rows on which gamma_fit and normal_fit raise FitError, without a
-    # RuntimeWarning (an error under this suite's warning filter)
+    # RuntimeWarning (an error under this suite's warning filter); the last
+    # row's moments are finite, but its gamma shape mean^2/variance is not
     rng = np.random.default_rng(9)
     X = np.array([rng.uniform(1, 2, 30), rng.uniform(1, 2, 30) * 1e300,
-                  rng.uniform(-2, 2, 30) * 1e200, np.full(30, 2.0)])
-    for family in ("gamma", "normal"):
+                  rng.uniform(-2, 2, 30) * 1e200, np.full(30, 2.0),
+                  rng.uniform(1, 1.01, 30) * 2e154])
+    for family, expected in (("gamma", [True, False, False, False, False]),
+                             ("normal", [True, False, False, False, True])):
         ok = _FAMILIES[family].fit_rows(X, None)[1]
-        assert ok.tolist() == [True, False, False, False]
-        for x in X[1:]:
-            with pytest.raises(FitError):
+        assert ok.tolist() == expected
+        for x, row_ok in zip(X, expected):
+            if row_ok:
                 _FAMILIES[family].fit(x)
+            else:
+                with pytest.raises(FitError):
+                    _FAMILIES[family].fit(x)
 
 
 @pytest.mark.parametrize("family, bad", [("gamma", 0.0), ("gamma", math.inf),

@@ -173,10 +173,14 @@ def test_cmd_test_huge_burr_data_fails_as_replicates(tmp_path):
                        "(family=burr, n=30)\n")
 
 
-@pytest.mark.parametrize("family, low, high, scale", [("normal", -2.0, 2.0, 1e200),
-                                                      ("gamma", 1.0, 2.0, 1e300)])
-def test_cmd_test_overflowing_moments_exit_2(tmp_path, capsys, family, low, high, scale):
-    # the moment fit's variance overflows: an input error naming it
+@pytest.mark.parametrize("family, low, high, scale, message", [
+    ("normal", -2.0, 2.0, 1e200, "variance overflows"),
+    ("gamma", 1.0, 2.0, 1e300, "variance overflows"),
+    # finite moments, but k = mean^2/variance overflows
+    ("gamma", 1.0, 1.01, 2e154, "gamma moment fit overflows"),
+], ids=["normal--2.0-2.0-1e+200", "gamma-1.0-2.0-1e+300", "gamma-1.0-1.01-2e+154"])
+def test_cmd_test_overflowing_moments_exit_2(tmp_path, capsys, family, low, high, scale, message):
+    # the moment fit overflows: an input error naming it
     x = np.random.default_rng(0).uniform(low, high, 30) * scale
     path = tmp_path / "huge.txt"
     path.write_text("".join(f"{float(v)!r}\n" for v in x))
@@ -184,7 +188,7 @@ def test_cmd_test_overflowing_moments_exit_2(tmp_path, capsys, family, low, high
                  "--a", "1", "--B", "20", "--seed", "1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "variance overflows" in err
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -245,6 +249,16 @@ def test_cmd_verify_arcsine_beta_unsupported(capsys):
     assert doc["supported"] is False
     assert doc["fixed_point_residual"] is None
     assert doc["residual_note"]
+
+
+@pytest.mark.parametrize("family, params, bad", [("burr_xii", "k=1,c=inf", "'c' must be finite, got inf"),
+                                                ("normal", "mu=nan,sigma2=1", "'mu' must be finite, got nan"),
+                                                ("gamma", "k=inf,lam=1", "'k' must be finite, got inf")])
+def test_cmd_verify_non_finite_parameter_exit_2(capsys, family, params, bad):
+    code = main(["verify", "--family", family, "--params", params])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: parameter {bad}\n"
 
 
 def test_cmd_verify_unknown_family(capsys):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -114,6 +116,25 @@ def test_render_csv_contains_raw_rates():
     assert "371" in text
 
 
+def test_report_labels_stay_in_one_cell(tmp_path):
+    # a default label holds a comma, and labels may hold quotes or pipes
+    doc = {"n": 20, "alpha": 0.1, "mc_reps": 1, "bootstrap_B": 5, "seed": 3,
+           "statistics": [{"stat": "ks"}],
+           "alternatives": [{"family": "weibull", "params": {"k": 0.5, "lam": 1}},
+                            {"family": "exponential", "params": {"lam": 1}, "label": 'say "E"'},
+                            {"family": "half_normal", "label": "a|b"}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [4] * 4
+    assert [row[0] for row in rows] == ["alternative", "weibull(0.5,1)", 'say "E"', "a|b"]
+    table = (tmp_path / "report.md").read_text().splitlines()
+    assert table[-1].startswith("| a\\|b | ")
+    assert all(line.replace("\\|", "").count("|") == 3 for line in table)
+
+
 def test_render_empty_alternatives_header_only():
     rep = run_power_study(small_config(mc_reps=1))
     rep.config = PowerStudyConfig(
@@ -175,6 +196,19 @@ def test_config_rejects_bad_alternative_params():
     doc = dict(GOOD_DOC, alternatives=[{"family": "gamma", "params": {"k": -1, "lam": 1}}])
     with pytest.raises(ConfigError, match="alternatives"):
         config_from_dict(doc)
+
+
+def test_config_rejects_non_finite_alternative_params(tmp_path, capsys):
+    # JSON's Infinity parses to a float inf: a config error, exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(GOOD_DOC, alternatives=[
+        {"family": "exponential", "params": {"lam": math.inf}}])))
+    assert "Infinity" in cfg.read_text()
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: alternatives[0]: "
+                                       "parameter 'lam' must be finite, got inf\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stats", [[{"stat": "B", "a": 1}, {"stat": "B", "a": 1.0}],
