@@ -22,14 +22,18 @@ stderr, and every report file but the ``wall_time_s`` line), the worst
 relative change of ``statistic_value`` and ``critical_value``, and every run
 whose exit code, stderr, warnings, ``fit``, ``p_value``, ``reject``,
 ``effective_B`` or ``failed_replicates`` changed, or whose simulate report
-changed.  It exits 0 when none did and both values moved by at most 1e-13
-relative, and 1 otherwise.
+changed.  Of a ``verify`` run it prints each field that moved, by its dotted
+path: a number only when it moved by more than 1e-13 relative, with its
+relative change, and any other value (a verdict, ``supported``, a note) when
+it changed at all.  It exits 0 when nothing was printed as moved or changed
+and both test values moved by at most 1e-13 relative, and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,7 +46,7 @@ from verify_catalog import CASES
 DATASETS = 30  # data sets per family
 N = 100  # observations per data set
 B = 100  # bootstrap replicates per test
-RTOL = 1e-13  # allowed relative change of statistic_value and critical_value
+RTOL = 1e-13  # allowed relative change of statistic_value, critical_value and verify numbers
 A_VALUES = (0.25, 1.0, 3.0)
 # family -> (statistics run on each data set, as (stat, a) with a None for EDF)
 STATS = {
@@ -164,11 +168,22 @@ def run_checkout(checkout: str, corpus: list, work: str, side: str) -> list:
 
 
 def rel_change(old, new) -> float:
+    """Relative change between two JSON numbers; inf when either is not one."""
     if old == new:
         return 0.0
-    if not (isinstance(old, float) and isinstance(new, float)):
+    if not (type(old) in (int, float) and type(new) in (int, float)):
         return float("inf")
     return abs(new - old) / max(abs(old), abs(new))
+
+
+def leaves(doc, prefix: str = "") -> dict:
+    """The values of a nested JSON object, keyed by their dotted paths."""
+    if not isinstance(doc, dict):
+        return {prefix: doc}
+    out = {}
+    for key, value in doc.items():
+        out.update(leaves(value, f"{prefix}.{key}" if prefix else key))
+    return out
 
 
 def compare(corpus, old, new):
@@ -194,6 +209,14 @@ def compare(corpus, old, new):
         if o["code"] != 0 or w["code"] != 0 or "files" in run:
             continue
         od, wd = json.loads(o["stdout"]), json.loads(w["stdout"])
+        if run["argv"][0] == "verify":
+            ol, wl = leaves(od), leaves(wd)
+            for key in sorted(set(ol) | set(wl)):
+                r = rel_change(ol.get(key), wl.get(key))
+                if r > RTOL:
+                    moved = "" if math.isinf(r) else f" (relative change {r:.3g})"
+                    changed.append(f"{label}: {key} {ol.get(key)!r} -> {wl.get(key)!r}{moved}")
+            continue
         for key in sorted(set(od) | set(wd)):
             if key in CLOSE_FIELDS:
                 r = rel_change(od.get(key), wd.get(key))

@@ -20,7 +20,6 @@ from .distributions import (
     DomainError,
     ParameterError,
     RngStream,
-    Sample,
     Support,
     cdf,
     log_likelihood,

@@ -226,7 +226,6 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
     ``gof.generic_L2_rows`` call.
     """
     check_statistics(family, stats)
-    n = X.shape[1]
     out = np.empty((X.shape[0], len(stats)))
     b_cols = [i for i, stat in enumerate(stats) if stat.tag == "burr_B"]
     if b_cols:
@@ -239,7 +238,7 @@ def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.
         edf = gof.edf_rows(z, edf_tags)
     for i, stat in enumerate(stats):
         if stat.tag in edf_tags:
-            out[:, i] = edf[stat.tag] * math.sqrt(n) if stat.sqrt_n else edf[stat.tag]
+            out[:, i] = edf[stat.tag]
         elif stat.tag == "generic_L2":
             out[:, i] = _l2_rows(family, stat.a, X, params)
     return out

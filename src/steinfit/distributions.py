@@ -34,7 +34,6 @@ shifted_gamma(k, lam, mu)          gamma translated to (mu, inf)
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from collections.abc import Callable
@@ -108,31 +107,8 @@ def _fmt_num(v: float) -> str:
     return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """A finite batch of observations with a sorted view, made on first use."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size < 1:
-            raise ValueError("sample must contain at least one observation")
-        object.__setattr__(self, "values", vals)
-
-    @functools.cached_property
-    def sorted_values(self) -> np.ndarray:
-        return np.sort(self.values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def as_values(s) -> np.ndarray:
-    """Accept a Sample or any array-like and return a 1-d float array."""
-    if isinstance(s, Sample):
-        return s.values
+    """Any array-like as a 1-d float array."""
     return np.asarray(s, dtype=float).ravel()
 
 
@@ -217,6 +193,7 @@ def _register(tag, names, **fields):
 
 
 _SQRT2PI = math.sqrt(2 * math.pi)
+_TINY = np.finfo(float).tiny  # smallest positive normal double
 
 _register(
     "normal", ("mu", "sigma2"),
@@ -255,6 +232,9 @@ _register(
     cdf=lambda p, x: sp.gammainc(p["k"], x / p["lam"]),
     sf=lambda p, x: sp.gammaincc(p["k"], x / p["lam"]),
     quantile=lambda p, u: p["lam"] * sp.gammaincinv(p["k"], u),
+    # below k = 0.05 or so the smallest standard variates underflow to 0 or a
+    # subnormal, where the score (k-1)/y overflows: they are floored at _TINY
+    draw=lambda p, u: p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY),
     score=lambda p, x: (p["k"] - 1) / x - 1.0 / p["lam"],
 )
 
@@ -619,16 +599,17 @@ def score(dist: DistributionSpec, x):
 _U_EPS = 2.0 ** -53  # keep inversion inputs strictly inside (0, 1)
 
 
-def sample(dist: DistributionSpec, n: int, rng: RngStream) -> Sample:
+def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     """Draw n iid variates, deterministically for a fixed stream.
 
     The family's record says how: its ``sampler`` when it has one (the
     inverse Gaussian's transformation with roots), else its ``draw`` map of
     uniforms (half-normal and half-Cauchy take the absolute value of the
     symmetric variate, the Levy law is mu + sigma/Z^2 for a standard normal
-    Z), else inversion through ``quantile``.
+    Z, the gamma law floors its standard variate at the smallest normal
+    double), else inversion through ``quantile``.
     """
-    return Sample(sample_rows(dist, n, [rng])[0])
+    return sample_rows(dist, n, [rng])[0]
 
 
 def sample_rows(dist: DistributionSpec, n: int, rngs) -> np.ndarray:

@@ -42,15 +42,11 @@ class StatisticId:
     """Identifier for a test statistic.
 
     ``a`` is the exponential-weight tuning parameter (burr_B / generic_L2
-    only).  ``sqrt_n`` switches the Kolmogorov-Smirnov statistic to its
-    sqrt(n)-scaled variant; the default, unscaled version is the one used
-    for bootstrap tests (the scaling is a monotone transform, so bootstrap
-    decisions are unaffected either way).
+    only).
     """
 
     tag: str
     a: float | None = None
-    sqrt_n: bool = False
 
     def __post_init__(self):
         if self.tag not in STAT_TAGS:
@@ -61,8 +57,6 @@ class StatisticId:
                                  f"a > 0 with a**3 positive and finite, got {self.a!r}")
         elif self.a is not None:
             raise ValueError(f"statistic '{self.tag}' takes no weight parameter")
-        if self.sqrt_n and self.tag != "ks":
-            raise ValueError("sqrt_n applies to the ks statistic only")
 
     @property
     def label(self) -> str:
@@ -337,11 +331,9 @@ def _edf_row(x, F, tag: str) -> float:
     return float(edf_rows(np.asarray(F(np.sort(x)), dtype=float)[None], (tag,))[tag][0])
 
 
-def ks(s, F, sqrt_n: bool = False) -> float:
+def ks(s, F) -> float:
     """Kolmogorov-Smirnov statistic max{D+, D-} for a fitted CDF F."""
-    x = as_values(s)
-    val = _edf_row(x, F, "ks")
-    return val * math.sqrt(x.size) if sqrt_n else val
+    return _edf_row(as_values(s), F, "ks")
 
 
 def cvm(s, F) -> float:

@@ -118,21 +118,19 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
         problems.append(f"seed: expected an integer, got {seed!r}")
         seed = 0
     alpha = doc.get("alpha")
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
+    if not _is_number(alpha) or not 0 < alpha < 1:
         problems.append(f"alpha: expected a number in (0, 1), got {alpha!r}")
         alpha = 0.1
 
     stats = []
     for i, entry in enumerate(doc.get("statistics") or []):
         try:
-            if not isinstance(entry, dict) or "stat" not in entry:
-                raise ValueError("expected an object with a 'stat' key")
+            _check_entry(entry, "stat", ("stat", "a"))
             name = entry["stat"]
             if name not in STAT_NAMES:
                 raise ValueError(f"unknown statistic tag {name!r}; valid tags: "
                                  f"{', '.join(sorted(STAT_NAMES))}")
-            stats.append(StatisticId(STAT_NAMES[name], a=entry.get("a"),
-                                     sqrt_n=bool(entry.get("sqrt_n", False))))
+            stats.append(StatisticId(STAT_NAMES[name], a=entry.get("a")))
         except ValueError as exc:
             problems.append(f"statistics[{i}]: {exc}")
     if not stats and not problems:
@@ -141,9 +139,13 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
     alts = []
     for i, entry in enumerate(doc.get("alternatives") or []):
         try:
-            if not isinstance(entry, dict) or "family" not in entry:
-                raise ValueError("expected an object with a 'family' key")
-            dist = make_distribution(entry["family"], **(entry.get("params") or {}))
+            _check_entry(entry, "family", ("family", "params", "label"))
+            params = entry.get("params") or {}
+            if not isinstance(params, dict) or not all(map(_is_number, params.values())):
+                raise ValueError(f"params: expected an object of numbers, got {params!r}")
+            if not isinstance(entry.get("label", ""), str):
+                raise ValueError(f"label: expected a string, got {entry['label']!r}")
+            dist = make_distribution(entry["family"], **params)
             alts.append((entry.get("label") or dist.label, dist))
         except (ParameterError, TypeError, ValueError) as exc:
             problems.append(f"alternatives[{i}]: {exc}")
@@ -168,14 +170,26 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
                             family=family, share_bootstrap=share).validate()
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check_entry(entry, required: str, allowed) -> None:
+    """Raise ValueError unless ``entry`` is an object with the key
+    ``required`` and no key outside ``allowed``."""
+    if not isinstance(entry, dict) or required not in entry:
+        raise ValueError(f"expected an object with a '{required}' key")
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; allowed: {list(allowed)}")
+
+
 def config_to_dict(cfg: PowerStudyConfig) -> dict:
     stats = []
     for s in cfg.statistics:
         entry = {"stat": {v: k for k, v in STAT_NAMES.items()}[s.tag]}
         if s.a is not None:
             entry["a"] = s.a
-        if s.sqrt_n:
-            entry["sqrt_n"] = True
         stats.append(entry)
     return {
         "n": cfg.n, "alpha": cfg.alpha, "mc_reps": cfg.mc_reps,
@@ -247,7 +261,7 @@ def _run_one_replicate(cfg: PowerStudyConfig, alt_label: str, alt: DistributionS
     """One Monte Carlo replicate: each statistic's decision, in config order,
     or None when the replicate failed (fit breakdown)."""
     root = RngStream(cfg.seed).child("alt", alt_label, "rep", rep)
-    x = sample(alt, cfg.n, root.child("data")).values
+    x = sample(alt, cfg.n, root.child("data"))
     try:
         if not cfg.share_bootstrap:
             return [bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,

@@ -28,7 +28,7 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
     targets = [(owner, attr) for owner, attr, _ in tracer_mod._PATCHES]
     before = {(id(owner), attr): owner.__dict__[attr] for owner, attr in targets}
 
-    data = sample(make_distribution("burr_xii", k=1, c=2), 30, RngStream(4)).values
+    data = sample(make_distribution("burr_xii", k=1, c=2), 30, RngStream(4))
     path = tmp_path / "x.txt"
     path.write_text("".join(f"{float(v)!r}\n" for v in data))
     tracer = tracer_mod.Tracer()

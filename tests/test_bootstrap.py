@@ -24,7 +24,7 @@ from steinfit.gof import StatisticId, burr_B_quadrature
 
 
 def burr_data(n=100, k=1.0, c=1.0, seed=42):
-    return sample(make_distribution("burr_xii", k=k, c=c), n, RngStream(seed)).values
+    return sample(make_distribution("burr_xii", k=k, c=c), n, RngStream(seed))
 
 
 def on_replicate_block(monkeypatch, wrap):
@@ -160,11 +160,11 @@ def test_replicates_use_their_own_refits(monkeypatch):
 
 
 def test_gamma_and_normal_families():
-    g = sample(make_distribution("gamma", k=2, lam=1), 60, RngStream(31)).values
+    g = sample(make_distribution("gamma", k=2, lam=1), 60, RngStream(31))
     out = bootstrap_test(g, "gamma", StatisticId("generic_L2", a=1.0), B=30,
                          alpha=0.1, rng=RngStream(4))
     assert out.effective_B == 30
-    z = sample(make_distribution("normal", mu=0, sigma2=1), 60, RngStream(32)).values
+    z = sample(make_distribution("normal", mu=0, sigma2=1), 60, RngStream(32))
     out = bootstrap_test(z, "normal", StatisticId("generic_L2", a=1.0), B=30,
                          alpha=0.1, rng=RngStream(4))
     assert out.effective_B == 30
@@ -260,7 +260,7 @@ def scalar_replicates(x, family, stats, B, stream):
     fitted = fitted_distribution(family, fit_family_retry(family, x))
     kept, rows = [], []
     for j in range(1, B + 1):
-        xb = sample(fitted, x.size, stream(j)).values
+        xb = sample(fitted, x.size, stream(j))
         try:
             fb = fit_family_retry(family, xb)
             if not fb.converged:
@@ -290,7 +290,7 @@ def batched_replicates(monkeypatch, x, family, stats, B, stream):
 
 
 BURR_STATS = [StatisticId("burr_B", a=0.25), StatisticId("burr_B", a=1.0),
-              StatisticId("burr_B", a=3.0), StatisticId("ks"), StatisticId("ks", sqrt_n=True),
+              StatisticId("burr_B", a=3.0), StatisticId("ks"),
               StatisticId("cvm"), StatisticId("ad"), StatisticId("watson")]
 
 
@@ -298,7 +298,7 @@ BURR_STATS = [StatisticId("burr_B", a=0.25), StatisticId("burr_B", a=1.0),
     ("burr", burr_data(n=50, k=1.3, c=1.7, seed=31), BURR_STATS, 1e-6),
     # a fitted c near 0.01: some draws underflow to 0 or overflow to inf
     ("burr", burr_data(n=20, k=1.0, c=0.0105, seed=2), BURR_STATS[3:], 1e-6),
-    # a fitted k near 0.012: some draws underflow to 0
+    # a fitted k near 0.012: some draws sit on the floor of the gamma draw
     ("gamma", np.array([1.0] + [0.001] * 99) * (1 + 0.01 * np.random.default_rng(1).random(100)),
      [StatisticId("generic_L2", a=1.0), StatisticId("ks"), StatisticId("cvm")], 1e-12),
     ("normal", np.random.default_rng(7).standard_t(4, 40),
@@ -317,13 +317,17 @@ def test_batched_replicates_match_the_scalar_loop(monkeypatch, family, x, stats,
 
 
 def test_underflow_parity_cases_do_fail_rows():
+    # Burr draws at a fitted c near 0.01 underflow to 0 or overflow to inf
+    # and fail their rows; gamma draws at a fitted k near 0.012 are floored
+    # at the smallest normal double and fail none
     with np.errstate(over="ignore"):
-        for x, family in [(burr_data(n=20, k=1.0, c=0.0105, seed=2), "burr"),
-                          (np.array([1.0] + [0.001] * 99)
-                           * (1 + 0.01 * np.random.default_rng(1).random(100)), "gamma")]:
+        for x, family, least, most in [
+                (burr_data(n=20, k=1.0, c=0.0105, seed=2), "burr", 1, 10),
+                (np.array([1.0] + [0.001] * 99)
+                 * (1 + 0.01 * np.random.default_rng(1).random(100)), "gamma", 0, 0)]:
             _, _, failed = scalar_replicates(x, family, [StatisticId("ks")], 200,
                                              lambda j: RngStream(5).child("boot", j))
-            assert 0 < failed <= 10
+            assert least <= failed <= most
 
 
 def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
@@ -394,7 +398,7 @@ def test_l2_column_gives_nan_on_a_refused_row(family, bad):
     # that row is NaN, with no RuntimeWarning, and the others equal their
     # one-row evaluate_statistic bit for bit
     stat = StatisticId("generic_L2", a=1.0)
-    g = sample(make_distribution("gamma", k=2, lam=1), 6 * 40, RngStream(90)).values
+    g = sample(make_distribution("gamma", k=2, lam=1), 6 * 40, RngStream(90))
     X = np.sort(g.reshape(6, 40) - (family == "normal"), axis=1)
     X[2, 0 if bad == 0.0 else -1] = bad
     fits = [fit_family_retry(family, x) for x in np.delete(X, 2, axis=0)]
@@ -410,10 +414,10 @@ def test_l2_column_gives_nan_on_a_refused_row(family, bad):
 
 @pytest.mark.parametrize("family, data, stats", [
     ("burr", burr_data(n=45, k=2.0, c=1.2, seed=51), BURR_STATS + [StatisticId("generic_L2", a=1.0)]),
-    ("gamma", sample(make_distribution("gamma", k=2, lam=1), 45, RngStream(52)).values,
+    ("gamma", sample(make_distribution("gamma", k=2, lam=1), 45, RngStream(52)),
      [StatisticId("generic_L2", a=1.0), StatisticId("ks"), StatisticId("cvm"),
       StatisticId("ad"), StatisticId("watson")]),
-    ("normal", sample(make_distribution("normal", mu=1, sigma2=4), 45, RngStream(53)).values,
+    ("normal", sample(make_distribution("normal", mu=1, sigma2=4), 45, RngStream(53)),
      [StatisticId("generic_L2", a=1.0), StatisticId("ks"), StatisticId("watson")]),
 ])
 def test_replicate_row_independent_of_batch_size(family, data, stats):
@@ -428,8 +432,9 @@ def test_replicate_row_independent_of_batch_size(family, data, stats):
     ("burr", burr_data(n=40, seed=61), BURR_STATS + [StatisticId("generic_L2", a=1.0)], False),
     # rows that fail: draws that underflow to 0 or overflow to inf
     ("burr", burr_data(n=20, k=1.0, c=0.0105, seed=2), BURR_STATS[3:], True),
+    # none fail: the smallest gamma draws are floored at the smallest normal double
     ("gamma", np.array([1.0] + [0.001] * 99) * (1 + 0.01 * np.random.default_rng(1).random(100)),
-     [StatisticId("ks"), StatisticId("cvm")], True),
+     [StatisticId("ks"), StatisticId("cvm")], False),
 ])
 def test_blocks_leave_the_replicates_unchanged(monkeypatch, family, x, stats, fails):
     import steinfit.bootstrap as bs
@@ -450,9 +455,9 @@ def test_blocks_leave_the_replicates_unchanged(monkeypatch, family, x, stats, fa
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_operator_is_the_unit_laws_default(family):
     data = {"burr": burr_data(n=40, k=1.3, c=1.7, seed=71),
-            "gamma": sample(make_distribution("gamma", k=2, lam=3), 40, RngStream(72)).values,
+            "gamma": sample(make_distribution("gamma", k=2, lam=3), 40, RngStream(72)),
             "normal": sample(make_distribution("normal", mu=1, sigma2=4), 40,
-                             RngStream(73)).values}[family]
+                             RngStream(73))}[family]
     record = _FAMILIES[family]
     assert record.operator == default_operator(
         fitted_distribution(family, fit_family_retry(family, data))).variant
@@ -463,7 +468,7 @@ def test_family_operator_is_the_unit_laws_default(family):
 def test_a_copied_family_record_gives_the_same_test(monkeypatch):
     import steinfit.bootstrap as bs
     monkeypatch.setitem(bs._FAMILIES, "normal_copy", bs._FAMILIES["normal"])
-    z = sample(make_distribution("normal", mu=1, sigma2=4), 50, RngStream(74)).values
+    z = sample(make_distribution("normal", mu=1, sigma2=4), 50, RngStream(74))
     for stat in (StatisticId("generic_L2", a=1.0), StatisticId("ad")):
         ref = bootstrap_test(z, "normal", stat, B=40, alpha=0.1, rng=RngStream(8)).to_dict()
         got = bootstrap_test(z, "normal_copy", stat, B=40, alpha=0.1, rng=RngStream(8)).to_dict()

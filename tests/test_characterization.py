@@ -90,8 +90,8 @@ def test_law_of_large_numbers_hook():
         t = float(quantile(dist, u))
         est = empirical_T_min(s, fn, t, 0.0)
         exact = exact_T(dist, None, t)
-        terms = -score(dist, s.values) * np.minimum(s.values, t)
-        se = terms.std() / math.sqrt(s.n)
+        terms = -score(dist, s) * np.minimum(s, t)
+        se = terms.std() / math.sqrt(s.size)
         assert abs(est - exact) <= 4 * se
 
 

@@ -16,7 +16,7 @@ from steinfit.distributions import RngStream, make_distribution, sample
 
 @pytest.fixture()
 def burr_file(tmp_path):
-    vals = sample(make_distribution("burr_xii", k=1, c=1), 100, RngStream(42)).values
+    vals = sample(make_distribution("burr_xii", k=1, c=1), 100, RngStream(42))
     path = tmp_path / "burr.txt"
     path.write_text("".join(f"{float(v)!r}\n" for v in vals))
     return str(path)
@@ -315,7 +315,7 @@ def test_main_reuses_its_parser_across_calls(burr_file, tmp_path, capsys, monkey
     # print and exit as fresh processes do
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
     gamma_file = tmp_path / "gamma.txt"
-    gamma = sample(make_distribution("gamma", k=2, lam=1), 60, RngStream(8)).values
+    gamma = sample(make_distribution("gamma", k=2, lam=1), 60, RngStream(8))
     gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
     calls = [["test", "--help"],
              ["test", "--data", burr_file, "--family", "burr", "--stat", "B", "--bogus"],
@@ -335,11 +335,27 @@ def test_main_reuses_its_parser_across_calls(burr_file, tmp_path, capsys, monkey
     assert codes == [0, 2, 0, 0]
 
 
+@pytest.mark.parametrize("key, seed", [([2, 3218], 271462851), ([6, 1638], 1160755090),
+                                       ([2, 3406], 1700604008)])
+def test_gamma_L2_at_a_tiny_fitted_shape_runs_clean(tmp_path, key, seed):
+    # Lomax data whose moment fit has k near 0.011: unfloored, the fitted
+    # law's draws hold zeros that fail replicates (exit 3) or subnormals
+    # whose score overflows with a RuntimeWarning
+    g = np.random.default_rng(key)
+    x = g.pareto(g.uniform(1.5, 4.0), 100) * g.uniform(0.5, 2)
+    path = tmp_path / "lomax.txt"
+    path.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    code, out, err = run_cli(["test", "--data", str(path), "--family", "gamma", "--stat", "L2",
+                              "--a", "1", "--B", "20", "--seed", str(seed)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fit"]["params"]["k"] < 0.052
+
+
 def test_import_and_tests_load_no_optimize_or_quadrature(burr_file, tmp_path):
     # a fresh interpreter imports the CLI and runs a Burr B and a gamma L2
     # test; only scipy.special of scipy's subpackages may be loaded
     gamma_file = tmp_path / "gamma.txt"
-    gamma = sample(make_distribution("gamma", k=2, lam=1), 100, RngStream(8)).values
+    gamma = sample(make_distribution("gamma", k=2, lam=1), 100, RngStream(8))
     gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
     code = f"""
 import contextlib, io, sys

@@ -12,7 +12,6 @@ from steinfit.distributions import (
     DomainError,
     ParameterError,
     RngStream,
-    Sample,
     boundary_density_limit,
     cdf,
     log_likelihood,
@@ -157,16 +156,16 @@ def test_pdf_normalizes(family, kw):
 def test_sampler_matches_cdf(family, kw):
     # smoke test at the 0.001 level, not a proof
     dist = _dist(family, kw)
-    vals = sample(dist, 10_000, RngStream(2024, 5)).values
+    vals = sample(dist, 10_000, RngStream(2024, 5))
     res = kstest(vals, lambda x: cdf(dist, x))
     assert res.pvalue > 0.001
 
 
 def test_sampler_deterministic():
     dist = _dist("burr_xii", dict(k=1, c=1))
-    a = sample(dist, 64, RngStream(11, 3)).values
-    b = sample(dist, 64, RngStream(11, 3)).values
-    c = sample(dist, 64, RngStream(11, 4)).values
+    a = sample(dist, 64, RngStream(11, 3))
+    b = sample(dist, 64, RngStream(11, 3))
+    c = sample(dist, 64, RngStream(11, 4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -177,7 +176,7 @@ def test_inverse_gaussian_sampler_mean():
     mean, _ = integrate.quad(lambda x: x * pdf(dist, x), 0, np.inf, limit=300)
     var, _ = integrate.quad(lambda x: (x - mean) ** 2 * pdf(dist, x), 0, np.inf, limit=300)
     assert mean == pytest.approx(1.0, abs=1e-8)
-    vals = sample(dist, 100_000, RngStream(8)).values
+    vals = sample(dist, 100_000, RngStream(8))
     assert abs(vals.mean() - mean) < 3 * math.sqrt(var / vals.size)
 
 
@@ -262,7 +261,7 @@ def test_sample_rows_bit_equal_to_sample(family, kw):
             for row, rng in zip(got, streams):
                 u = np.clip(rng.generator().random(n), 2.0 ** -53, 1 - 2.0 ** -53)
                 assert np.array_equal(row, transform.get(family, lambda u: quantile(dist, u))(u))
-            assert np.array_equal(got[-1], sample(dist, n, streams[-1]).values)
+            assert np.array_equal(got[-1], sample(dist, n, streams[-1]))
 
 
 def test_burr_draws_at_an_extreme_fit_overflow_silently():
@@ -274,6 +273,23 @@ def test_burr_draws_at_an_extreme_fit_overflow_silently():
         warnings.simplefilter("error", RuntimeWarning)
         got = sample_rows(dist, 30, streams)
     assert np.isinf(got).any() and not np.isnan(got).any()
+
+
+@pytest.mark.parametrize("lam", [1.0, 3899.0])
+def test_gamma_draws_at_a_tiny_shape_are_floored(lam):
+    # at k = 0.0109 about 4e-4 of the standard variates lie below the
+    # smallest normal double, where the quantile gives 0 or a subnormal; the
+    # draw floors the standard variate there and is the quantile elsewhere
+    tiny = np.finfo(float).tiny
+    dist = _dist("gamma", dict(k=0.0109, lam=lam))
+    streams = [RngStream(3).child("boot", b) for b in range(200)]
+    got = sample_rows(dist, 100, streams)
+    u = np.array([np.clip(rng.generator().random(100), 2.0 ** -53, 1 - 2.0 ** -53)
+                  for rng in streams])
+    q = quantile(dist, u)
+    assert (q == 0).any() and got.min() == lam * tiny >= tiny
+    above = q >= lam * tiny
+    assert np.array_equal(got[above], q[above])
 
 
 def test_boundary_density_limit_reads_the_record():
@@ -295,12 +311,6 @@ def test_boundary_density_limit_reads_the_record():
         boundary_density_limit(_dist("gamma", dict(k=2.0, lam=1.0)), "left")
     with pytest.raises(ValueError, match="side"):
         boundary_density_limit(uni, "top")
-
-
-def test_sample_type():
-    s = Sample([3.0, 1.0, 2.0])
-    assert s.n == 3
-    assert np.array_equal(s.sorted_values, [1.0, 2.0, 3.0])
 
 
 # --------------------------------------------------------------------------

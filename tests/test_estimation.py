@@ -20,7 +20,7 @@ from steinfit.estimation import (
 
 
 def draw(family, n, seed, **kw):
-    return sample(make_distribution(family, **kw), n, RngStream(seed)).values
+    return sample(make_distribution(family, **kw), n, RngStream(seed))
 
 
 # --------------------------------------------------------------------------

@@ -164,6 +164,11 @@ def test_config_from_dict_round_trip():
     assert len(config_hash(cfg)) == 16
 
 
+def test_config_hash_is_pinned():
+    # the hash names a study in its report: it must not move when the code does
+    assert config_hash(config_from_dict(GOOD_DOC)) == "8bca4191e2bcc51a"
+
+
 def test_config_rejects_zero_reps():
     doc = dict(GOOD_DOC, mc_reps=0)
     with pytest.raises(ConfigError, match="mc_reps"):
@@ -211,8 +216,40 @@ def test_config_rejects_non_finite_alternative_params(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alternative, problem", [
+    # a JSON string or boolean is not a number, though float() would take it
+    ({"family": "exponential", "params": {"lam": "2"}},
+     "alternatives[0]: params: expected an object of numbers, got {'lam': '2'}"),
+    ({"family": "exponential", "params": {"lam": True}},
+     "alternatives[0]: params: expected an object of numbers, got {'lam': True}"),
+    ({"family": "exponential", "params": {"lam": 1}, "label": 5},
+     "alternatives[0]: label: expected a string, got 5"),
+    ({"family": "exponential", "params": {"lam": 1}, "lable": "E"},
+     "alternatives[0]: unknown keys ['lable']; allowed: ['family', 'params', 'label']"),
+], ids=["string-param", "boolean-param", "number-label", "misspelt-key"])
+def test_config_rejects_loose_alternative_entries(tmp_path, capsys, alternative, problem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(GOOD_DOC, alternatives=[alternative])))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", [{"stat": "ks", "sqrt_n": True}, {"stat": "B", "a": 1, "A": 2}])
+def test_config_rejects_unknown_statistic_keys(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(GOOD_DOC, statistics=[entry])))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    unknown = sorted(set(entry) - {"stat", "a"})
+    assert capsys.readouterr().err == (f"config error: statistics[0]: unknown keys {unknown}; "
+                                       f"allowed: ['stat', 'a']\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stats", [[{"stat": "B", "a": 1}, {"stat": "B", "a": 1.0}],
-                                   [{"stat": "ks"}, {"stat": "ks", "sqrt_n": True}]])
+                                   [{"stat": "ks"}, {"stat": "ks"}]])
 def test_config_rejects_statistics_with_one_label(tmp_path, capsys, stats):
     # a report cell is keyed by the statistic's label: two statistics with
     # one label would share a cell and repeat a table column
