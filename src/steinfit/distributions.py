@@ -35,12 +35,33 @@ shifted_gamma(k, lam, mu)          gamma translated to (mu, inf)
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed on first attribute access: the "Implementing
+    lazy imports" recipe of the importlib documentation.  A module already in
+    sys.modules is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# scipy.special costs about 0.28 s to import; the Burr family's path never
+# touches it, every other use loads it on its first call
+sp = _lazy_module("scipy.special")
 
 
 class ParameterError(ValueError):
@@ -195,6 +216,14 @@ def _register(tag, names, **fields):
 _SQRT2PI = math.sqrt(2 * math.pi)
 _TINY = np.finfo(float).tiny  # smallest positive normal double
 
+
+def logistic(x):
+    """The logistic sigmoid 1/(1 + e^-x), as scipy.special.expit computes it;
+    where e^-x overflows to inf, below x = -709.78, the value is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 _register(
     "normal", ("mu", "sigma2"),
     support=lambda p: Support(-_INF, _INF),
@@ -297,7 +326,7 @@ _register(
 def _burr_score(p, x):
     k, c, sigma = p["k"], p["c"], p["sigma"]
     # x^(c-1)/(sigma^c + x^c) written through the logistic sigmoid for stability
-    ratio = sp.expit(c * np.log(np.asarray(x, dtype=float) / sigma))  # y^c/(1+y^c)
+    ratio = logistic(c * np.log(np.asarray(x, dtype=float) / sigma))  # y^c/(1+y^c)
     return (c - 1) / x - c * (k + 1) * ratio / x
 
 
@@ -457,6 +486,10 @@ _register(
     cdf=lambda p, x: sp.gammainc(p["k"], (x - p["mu"]) / p["lam"]),
     sf=lambda p, x: sp.gammaincc(p["k"], (x - p["mu"]) / p["lam"]),
     quantile=lambda p, u: p["mu"] + p["lam"] * sp.gammaincinv(p["k"], u),
+    # gamma's floor on the standard variate, and the sum floored at the next
+    # double above mu, which it rounds to when lam * variate is below half an ulp of mu
+    draw=lambda p, u: np.maximum(p["mu"] + p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY),
+                                 np.nextafter(p["mu"], _INF)),
     score=lambda p, x: (p["k"] - 1) / (x - p["mu"]) - 1.0 / p["lam"],
 )
 
@@ -606,7 +639,7 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     inverse Gaussian's transformation with roots), else its ``draw`` map of
     uniforms (half-normal and half-Cauchy take the absolute value of the
     symmetric variate, the Levy law is mu + sigma/Z^2 for a standard normal
-    Z, the gamma law floors its standard variate at the smallest normal
+    Z, the gamma laws floor their standard variate at the smallest normal
     double), else inversion through ``quantile``.
     """
     return sample_rows(dist, n, [rng])[0]

@@ -25,9 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
-from .distributions import as_values
+from .distributions import as_values, logistic
 
 # config / CLI name -> statistic tag
 STAT_NAMES = {"B": "burr_B", "L2": "generic_L2", "ks": "ks", "cvm": "cvm",
@@ -95,7 +94,7 @@ def burr_coefficients(x, k_hat: float, c_hat: float):
     overflow.  They satisfy x*A1 = -A2 - (c-1) identically.
     """
     x = np.asarray(x, dtype=float)
-    ratio = sp.expit(c_hat * np.log(x))  # x^c / (1 + x^c)
+    ratio = logistic(c_hat * np.log(x))  # x^c / (1 + x^c)
     A2 = -c_hat * (k_hat + 1.0) * ratio
     A1 = (-A2 - (c_hat - 1.0)) / x
     return A1, A2

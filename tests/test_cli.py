@@ -22,6 +22,17 @@ def burr_file(tmp_path):
     return str(path)
 
 
+# the six alternatives of the Burr desk table's power study
+DESK_ALTERNATIVES = [
+    {"family": "burr_xii", "params": {"k": 1, "c": 1}, "label": "BurrXII(1,1)"},
+    {"family": "exponential", "params": {"lam": 1}, "label": "Exp(1)"},
+    {"family": "half_cauchy", "params": {}, "label": "HC"},
+    {"family": "inverse_gaussian", "params": {"mu": 1, "lam": 1.5}, "label": "IG(1.5)"},
+    {"family": "weibull", "params": {"k": 0.5, "lam": 1}, "label": "W(0.5)"},
+    {"family": "gompertz", "params": {"theta": 2}, "label": "GO(2)"},
+]
+
+
 def cli_env():
     """Environment in which `python -m steinfit.cli` imports this same package."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(steinfit.__file__)))
@@ -353,19 +364,35 @@ def test_gamma_L2_at_a_tiny_fitted_shape_runs_clean(tmp_path, key, seed):
 
 def test_import_and_tests_load_no_optimize_or_quadrature(burr_file, tmp_path):
     # a fresh interpreter imports the CLI and runs a Burr B and a gamma L2
-    # test; only scipy.special of scipy's subpackages may be loaded
+    # test; only scipy.special of scipy's subpackages may be loaded, and it
+    # executes only once the gamma test needs it: the Burr test and a
+    # one-process power study on the Burr family with the desk alternatives
+    # leave it unexecuted
     gamma_file = tmp_path / "gamma.txt"
     gamma = sample(make_distribution("gamma", k=2, lam=1), 100, RngStream(8))
     gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
     code = f"""
 import contextlib, io, sys
 import steinfit.cli
-calls = [["test", "--data", {burr_file!r}, "--family", "burr", "--stat", "B", "--B", "20"],
-         ["test", "--data", {str(gamma_file)!r}, "--family", "gamma", "--stat", "L2", "--a", "1",
-          "--B", "20"]]
-for argv in calls:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert steinfit.cli.main(argv) == 0
+from steinfit.simulation import config_from_dict, run_power_study
+special = lambda: "scipy.special._ufuncs" in sys.modules
+assert not special()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert steinfit.cli.main(["test", "--data", {burr_file!r}, "--family", "burr", "--stat", "B",
+                              "--B", "20"]) == 0
+assert not special()
+cfg = config_from_dict({{
+    "n": 40, "alpha": 0.1, "mc_reps": 2, "bootstrap_B": 20, "seed": 5, "family": "burr",
+    "share_bootstrap": True,
+    "statistics": [{{"stat": "B", "a": 1}}, {{"stat": "ks"}}, {{"stat": "cvm"}}, {{"stat": "ad"}},
+                   {{"stat": "watson"}}],
+    "alternatives": {DESK_ALTERNATIVES!r}}})
+run_power_study(cfg, workers=1)
+assert not special()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert steinfit.cli.main(["test", "--data", {str(gamma_file)!r}, "--family", "gamma",
+                              "--stat", "L2", "--a", "1", "--B", "20"]) == 0
+assert special()
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in
                       (["scipy", "optimize"], ["scipy", "integrate"],
                        ["scipy", "linalg"], ["scipy", "sparse"]))))
@@ -374,6 +401,18 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in
                           env=cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_steinfit_binds_a_scipy_special_imported_before_it():
+    code = """
+import scipy.special
+import steinfit.distributions
+assert steinfit.distributions.sp is scipy.special
+assert type(scipy.special) is type(scipy)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from steinfit.distributions import (
     boundary_density_limit,
     cdf,
     log_likelihood,
+    logistic,
     logpdf,
     make_distribution,
     pdf,
@@ -290,6 +291,41 @@ def test_gamma_draws_at_a_tiny_shape_are_floored(lam):
     assert (q == 0).any() and got.min() == lam * tiny >= tiny
     above = q >= lam * tiny
     assert np.array_equal(got[above], q[above])
+
+
+@pytest.mark.parametrize("k, lam, mu", [(0.0109, 1.0, 0.0), (2.0, 1e-20, 1e3)])
+def test_shifted_gamma_draws_stay_inside_the_open_support(k, lam, mu):
+    # at a tiny shape the standard variate underflows to 0 or a subnormal, as
+    # gamma's does, and at a scale far below an ulp of mu the sum rounds to
+    # mu: the draw floors both and is the quantile elsewhere
+    tiny = np.finfo(float).tiny
+    dist = _dist("shifted_gamma", dict(k=k, lam=lam, mu=mu))
+    streams = [RngStream(3).child("boot", b) for b in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sample_rows(dist, 100, streams)
+        s = score(dist, got)
+    assert (got > mu).all() and np.isfinite(got).all() and np.isfinite(s).all()
+    u = np.array([np.clip(rng.generator().random(100), 2.0 ** -53, 1 - 2.0 ** -53)
+                  for rng in streams])
+    g = special.gammaincinv(k, u)
+    kept = (g >= tiny) & (mu + lam * g > mu)
+    assert (~kept).any()
+    assert np.array_equal(got[kept], quantile(dist, u)[kept])
+
+
+def test_logistic_matches_expit():
+    # the numpy logistic of the Burr score and coefficients against scipy's
+    g = np.random.default_rng(5)
+    for x in (np.linspace(-800.0, 800.0, 400_001), g.normal(0.0, 5.0, 100_000),
+              g.normal(0.0, 300.0, 100_000)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = logistic(x)
+        want = special.expit(x)
+        assert np.array_equal(got == 0, want == 0)
+        nz = want != 0
+        assert np.all(np.abs(got[nz] - want[nz]) <= 1e-15 * want[nz])
 
 
 def test_boundary_density_limit_reads_the_record():
