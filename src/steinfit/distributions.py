@@ -218,7 +218,7 @@ _TINY = np.finfo(float).tiny  # smallest positive normal double
 
 
 def logistic(x):
-    """The logistic sigmoid 1/(1 + e^-x), as scipy.special.expit computes it;
+    """The logistic sigmoid 1/(1 + e^-x), scipy.special.expit's formula;
     where e^-x overflows to inf, below x = -709.78, the value is 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))

@@ -22,7 +22,7 @@ def burr_file(tmp_path):
     return str(path)
 
 
-# the six alternatives of the Burr desk table's power study
+# the six alternatives of the benchmark's Burr power study
 DESK_ALTERNATIVES = [
     {"family": "burr_xii", "params": {"k": 1, "c": 1}, "label": "BurrXII(1,1)"},
     {"family": "exponential", "params": {"lam": 1}, "label": "Exp(1)"},
@@ -366,8 +366,9 @@ def test_import_and_tests_load_no_optimize_or_quadrature(burr_file, tmp_path):
     # a fresh interpreter imports the CLI and runs a Burr B and a gamma L2
     # test; only scipy.special of scipy's subpackages may be loaded, and it
     # executes only once the gamma test needs it: the Burr test and a
-    # one-process power study on the Burr family with the desk alternatives
-    # leave it unexecuted
+    # one-process power study on the Burr family with the six desk
+    # alternatives leave it unexecuted, so forked power-study workers never
+    # pay for it
     gamma_file = tmp_path / "gamma.txt"
     gamma = sample(make_distribution("gamma", k=2, lam=1), 100, RngStream(8))
     gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
@@ -401,14 +402,11 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in
                           env=cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
-
-
-def test_steinfit_binds_a_scipy_special_imported_before_it():
+    # a scipy.special imported before steinfit is bound as it is
     code = """
 import scipy.special
 import steinfit.distributions
-assert steinfit.distributions.sp is scipy.special
-assert type(scipy.special) is type(scipy)
+assert steinfit.distributions.sp is scipy.special and type(scipy.special) is type(scipy)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=cli_env())
