@@ -14,11 +14,12 @@ The observed sample is fitted by ``fit_family_retry`` and scored by
 ``evaluate_statistic``, as one row of the replicates' kernels.  The B
 replicates of one sample are handled as (rows, n) matrices of at most
 BLOCK_DRAWS draws each: drawn with one quantile call, re-fitted together
-(Burr rows by ``estimation.burr_mle_rows``, with ``burr_mle`` deciding the
-rows it leaves unconverged; gamma and normal rows by their moment
+(Burr rows by ``estimation.burr_mle_rows``, of which the observed sample's
+``burr_mle`` is the one-row case; gamma and normal rows by their moment
 estimators), and scored by one kernel call per kind of statistic
 (``replicate_statistics``).  Every row's result is independent of the block
-it falls in, so each statistic has one formula, whichever sample it scores.
+it falls in, so each estimator and statistic has one formula, whichever
+sample it fits or scores.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ from .estimation import (
 from .gof import StatisticId
 
 MAX_FAILURE_FRACTION = 0.05
-# what fails one replicate (a FitError is a ValueError); any other
-# exception is a bug and propagates
-REPLICATE_ERRORS = (ValueError,)
 
 # the replicates are handled in blocks of at most this many draws (and at
 # least one row), which bounds the engine's memory whatever B and n are
@@ -104,15 +102,7 @@ def _burr_rows(X: np.ndarray, fit: FitResult):
     ok[ok] = np.ptp(X[ok], axis=1) > 0
     rows = np.flatnonzero(ok)
     params = {"k": np.full(X.shape[0], math.nan), "c": np.full(X.shape[0], math.nan)}
-    params["k"][rows], params["c"][rows], converged = burr_mle_rows(X[rows], fit.params["c"])
-    for i in rows[~converged]:
-        try:
-            fb = fit_family_retry("burr", X[i])
-        except REPLICATE_ERRORS:
-            ok[i] = False
-            continue
-        ok[i] = fb.converged
-        params["k"][i], params["c"][i] = fb.params["k"], fb.params["c"]
+    params["k"][rows], params["c"][rows], ok[rows] = burr_mle_rows(X[rows], fit.params["c"])
     return params, ok
 
 
@@ -156,7 +146,7 @@ def _family(name: str) -> _Family:
 
 
 def fit_family_retry(family: str, x) -> FitResult:
-    """Fit ``x`` by the family's estimator; burr_mle widens its own c-bracket."""
+    """Fit ``x`` by the family's estimator."""
     return _family(family).fit(x)
 
 

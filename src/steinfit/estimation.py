@@ -1,11 +1,11 @@
 """Parameter estimators backing the bootstrap tests.
 
-* burr_mle      -- profile maximum likelihood for the Burr XII (k, c) pair
-                   (scale fixed at 1); the k direction has a closed-form
-                   stationary point, leaving a robust 1-d bracketed search.
-* burr_mle_rows -- the same maximum for every row of a matrix at once, by a
-                   safeguarded Newton iteration; burr_mle decides the rows it
-                   leaves unconverged and is its test oracle.
+* burr_mle_rows -- profile maximum likelihood for the Burr XII (k, c) pair
+                   (scale fixed at 1) of every row of a matrix at once; the k
+                   direction has a closed-form stationary point, leaving a
+                   safeguarded Newton iteration in log c that widens its own
+                   bracket.
+* burr_mle      -- the same estimator on one sample, as its one-row case.
 * gamma_fit     -- method of moments; exactly scale equivariant (lam) and
                    scale invariant (k).
 * normal_fit    -- sample mean and variance with divisor n.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import as_values, log_likelihood, make_distribution
+from .distributions import as_values, log1p_exp, log_likelihood, make_distribution
 
 
 class FitError(ValueError):
@@ -46,35 +46,31 @@ def burr_profile_k(x, c: float) -> float:
     """Stationary point of the log-likelihood in k for fixed c:
     k(c) = n / sum log(1 + x_i^c)."""
     logx = np.log(as_values(x))
-    return float(len(logx) / np.logaddexp(0.0, c * logx).sum())
+    return float(len(logx) / log1p_exp(c * logx).sum())
 
 
 def burr_loglik(x, k: float, c: float) -> float:
     """l(k, c) = n log c + n log k + (c-1) sum log x - (k+1) sum log(1+x^c)."""
     logx = np.log(as_values(x))
     n = logx.size
-    t = np.logaddexp(0.0, c * logx).sum()
+    t = log1p_exp(c * logx).sum()
     return float(n * math.log(c) + n * math.log(k) + (c - 1) * logx.sum() - (k + 1) * t)
 
 
-# the search bracket for c of burr_mle (before any expansion) and of burr_mle_rows
+# the search bracket for c before any expansion
 C_BRACKET = (1e-3, 1e3)
-# a fit ending this close to its bracket (in log c) is on the edge; bounded
-# Brent stops about sqrt(eps)*|log c| from a bound, well inside this
+# a fit ending this close to its bracket (in log c) is on the edge
 ROWS_EDGE_TOL = 1e-6
-# burr_mle widens C_BRACKET tenfold per side at most this often (to 1e-7..1e7)
+# a bracket is widened tenfold per side at most this often (to 1e-7..1e7)
 MAX_EXPANSIONS = 4
+ROWS_UTOL = 1e-10  # a row is frozen once its step in log c falls below this
+ROWS_MAXITER = 500  # Newton steps per row, over all its brackets
 
 
 def burr_mle(s) -> FitResult:
-    """Burr XII maximum likelihood via the profile in c.
-
-    Maximizes the profiled log-likelihood over log(c) with a bounded Brent
-    search on log(C_BRACKET); the bracket expands tenfold per side, at most
-    MAX_EXPANSIONS times, when the maximizer lands within ROWS_EDGE_TOL of an
-    edge, and an edge hit after the final expansion is reported as
-    non-convergence.
-    Raises FitError when k = n / sum log(1 + x^c) is not finite there.
+    """Burr XII maximum likelihood via the profile in c: the one-row case of
+    burr_mle_rows, started at c = 1.  ``iterations`` counts its Newton steps.
+    Raises FitError when k = n / sum log(1 + x^c) is not finite at the end.
     """
     x = as_values(s)
     if x.size < 2:
@@ -83,140 +79,14 @@ def burr_mle(s) -> FitResult:
         raise FitError("burr_mle needs positive, finite observations")
     if np.all(x == x[0]):
         raise FitError("degenerate sample: all observations equal")
-
-    logx = np.log(x)
-    n = x.size
-    sum_logx = logx.sum()
-
-    def neg_profile(lc: float) -> float:
-        c = math.exp(lc)
-        t = np.logaddexp(0.0, c * logx).sum()
-        if t == 0.0:  # every x^c underflows: k(c) = n/t is not finite
-            return math.inf
-        # l(k(c), c) with k(c) = n/t, using k(c)*t = n
-        return -(n * lc + n * (math.log(n) - math.log(t)) + (c - 1) * sum_logx - n - t)
-
-    lo, hi = (math.log(b) for b in C_BRACKET)
-    nfev = 0
-    for expansion in range(MAX_EXPANSIONS + 1):
-        # a +inf profile makes Brent's parabolic step nan; golden section is taken
-        with np.errstate(invalid="ignore"):
-            lc_hat, calls, success = _bounded_brent(neg_profile, lo, hi, xatol=1e-10, maxiter=500)
-        nfev += calls
-        edge = min(lc_hat - lo, hi - lc_hat) < ROWS_EDGE_TOL
-        if not edge:
-            break
-        lo -= math.log(10.0)
-        hi += math.log(10.0)
-    c_hat = math.exp(lc_hat)
-    with np.errstate(divide="ignore", over="ignore"):
-        k_hat = burr_profile_k(x, c_hat)
+    (k_hat,), (c_hat,), (converged,), (steps,) = _burr_newton(x[None], 1.0)
     if not math.isfinite(k_hat):
         raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
-    ll = burr_loglik(x, k_hat, c_hat)
-    converged = success and not edge
-    msg = "" if converged else "profile maximizer on the c-bracket edge after expansion"
-    return FitResult(params={"k": k_hat, "c": c_hat}, converged=converged,
-                     loglik=ll, iterations=nfev, message=msg)
-
-
-def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
-    """Minimize func on [x1, x2] by Brent's bounded method: golden-section
-    steps with parabolic interpolation.  Returns (x, nfev, success); success
-    is False when maxiter evaluations run out or a value is nan.
-    """
-    # The loop of scipy's _minimize_scalar_bounded (scipy/optimize/_optimize.py,
-    # BSD-3-Clause), step for step and with its numpy scalar arithmetic, so
-    # every iterate has the bits of minimize_scalar(method="bounded").
-    flag = 0
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = np.inf
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # Check for parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:  # do a golden-section step
-                golden = 1
-
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            flag = 1
-            break
-
-    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
-        flag = 2
-    return xf, num, flag == 0
-
-
-ROWS_UTOL = 1e-10  # a row is frozen once its step in log c falls below this
-ROWS_MAXITER = 100
+    widest = (C_BRACKET[0] / 10 ** MAX_EXPANSIONS, C_BRACKET[1] * 10 ** MAX_EXPANSIONS)
+    msg = "" if converged else (f"no profile maximum found inside c in [{widest[0]:g}, "
+                                f"{widest[1]:g}] ({steps} Newton steps, c = {c_hat:.6g})")
+    return FitResult(params={"k": float(k_hat), "c": float(c_hat)}, converged=bool(converged),
+                     loglik=burr_loglik(x, k_hat, c_hat), iterations=int(steps), message=msg)
 
 
 def burr_mle_rows(X, c0: float):
@@ -224,56 +94,83 @@ def burr_mle_rows(X, c0: float):
 
     The rows must be positive, finite and not constant.  A Newton iteration
     on the profile score in u = log c starts every row at log(c0), keeps a
-    sign bracket inside log(C_BRACKET) and bisects it whenever a Newton step
-    would leave it; a row is frozen once its step falls below ROWS_UTOL, so
-    later iterations cannot move it off the root.  Returns arrays (k, c,
-    converged), k = n / sum log(1 + x^c).  A row that has not converged
-    after ROWS_MAXITER steps, or that ends within ROWS_EDGE_TOL of the
-    bracket (burr_mle's edge rule), has converged False: burr_mle, with its
-    bracket expansion, decides it.
+    sign bracket inside the row's c-bracket (C_BRACKET at first) and bisects
+    it whenever a Newton step would leave it; a point where every x^c
+    underflows counts as past the maximum.  A row is frozen once its step
+    falls below ROWS_UTOL, so later iterations cannot move it off the root.
+    A row frozen within ROWS_EDGE_TOL of its c-bracket's end has its bracket
+    widened tenfold per side and goes on, at most MAX_EXPANSIONS times.
+    Returns arrays (k, c, converged), k = n / sum log(1 + x^c); a row is not
+    converged when it ends on the edge of its widest bracket, is still
+    moving after ROWS_MAXITER steps, or has k not finite.
     """
+    return _burr_newton(X, c0)[:3]
+
+
+def _burr_newton(X, c0: float):
+    """burr_mle_rows, with each row's count of Newton steps as a fourth array."""
     L = np.log(np.asarray(X, dtype=float))
     rows, n = L.shape
-    lo0, hi0 = (math.log(b) for b in C_BRACKET)
-    lo, hi = np.full(rows, lo0), np.full(rows, hi0)
-    u = np.full(rows, min(max(math.log(c0), lo0), hi0))
-    done = np.zeros(rows, dtype=bool)
+    # z = cL has the sign of L for every c > 0, so each term's form is fixed:
+    # with e = e^-|z| and q = 1/(1 + e), x^c/(1 + x^c) is q where L > 0 and
+    # eq elsewhere, and 1/(1 + x^c) the other one
+    Lp = np.maximum(L, 0.0)
+    Ln = L - Lp
+    LL = L * L
+    minus_abs_L = -np.abs(L)
+    sum_Lp = Lp.sum(axis=1)
+    lo_c, hi_c = (np.full(rows, math.log(b)) for b in C_BRACKET)  # the c-brackets
+    lo, hi = lo_c.copy(), hi_c.copy()  # the sign brackets
+    u = np.clip(np.full(rows, math.log(c0)), lo_c, hi_c)
+    active = np.ones(rows, dtype=bool)
     converged = np.zeros(rows, dtype=bool)
-    for _ in range(ROWS_MAXITER):
-        act = np.flatnonzero(~done)
-        if act.size == 0:
-            break
-        ua, La = u[act], L[act]
-        c = np.exp(ua)
-        z = c[:, None] * La
-        e = np.exp(-np.abs(z))
-        q = 1.0 / (1.0 + e)
-        s = np.where(z > 0, q, e * q)  # x^c / (1 + x^c)
-        r = np.where(z > 0, e * q, q)  # 1 / (1 + x^c)
-        t = (np.maximum(z, 0.0) + np.log1p(e)).sum(axis=1)  # sum log(1 + x^c)
-        ct1 = c * (La * s).sum(axis=1)
-        c2t2 = c * c * (La * La * s * r).sum(axis=1)
-        rest = c * (La * r).sum(axis=1)  # c (S - t'), free of cancellation
-        # profile score dl/du and its derivative; l(u) = n u - n log t + c S - t + const
-        g = n + rest - n * ct1 / t
-        dg = rest - c2t2 - n * (ct1 + c2t2) / t + n * (ct1 / t) ** 2
-        bad = ~(np.isfinite(g) & np.isfinite(dg))
-        up = g > 0
-        lo[act] = np.where(up, ua, lo[act])
-        hi[act] = np.where(up, hi[act], ua)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = ua - g / dg
-        # a step below ROWS_UTOL is taken even onto the bracket's end (g = 0 there)
-        take = ((newton > lo[act]) & (newton < hi[act])) | (np.abs(newton - ua) < ROWS_UTOL)
-        new = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
-        stop = bad | (np.abs(new - ua) < ROWS_UTOL)
-        u[act] = np.where(bad, ua, new)
-        done[act] = stop
-        converged[act] = stop & ~bad
-    converged &= np.minimum(u - lo0, hi0 - u) > ROWS_EDGE_TOL
+    steps = np.zeros(rows, dtype=int)
+    widened = np.zeros(rows, dtype=int)
+    # g and dg are nan where t = 0: such a point fails g > 0, so it becomes the
+    # upper end of the sign bracket, past the maximum, and is bisected away
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(ROWS_MAXITER):
+            # every row is computed; a frozen row's u stays put, and its sign
+            # bracket is not used again
+            c = np.exp(u)
+            e = np.exp(c[:, None] * minus_abs_L)
+            q = 1.0 / (1.0 + e)
+            eq = e * q
+            t = c * sum_Lp + np.log1p(e).sum(axis=1)  # sum log(1 + x^c), log1p_exp's form
+            ct1 = c * (Lp * q + Ln * eq).sum(axis=1)  # c sum L x^c/(1 + x^c)
+            c2t2 = c * c * (LL * (q * eq)).sum(axis=1)  # c^2 sum L^2 x^c/(1 + x^c)^2
+            rest = c * (Lp * eq + Ln * q).sum(axis=1)  # c (S - t'), free of cancellation
+            # profile score dl/du and its derivative; l(u) = n u - n log t + c S - t + const
+            g = n + rest - n * ct1 / t
+            dg = rest - c2t2 - n * (ct1 + c2t2) / t + n * (ct1 / t) ** 2
+            newton = u - g / dg
+            up = g > 0
+            lo = np.where(up, u, lo)
+            hi = np.where(up, hi, u)
+            # a step below ROWS_UTOL is taken even onto the bracket's end (g = 0 there)
+            take = ((newton > lo) & (newton < hi)) | (np.abs(newton - u) < ROWS_UTOL)
+            new = np.where(take, newton, 0.5 * (lo + hi))
+            stop = active & (np.abs(new - u) < ROWS_UTOL)
+            u = np.where(active, new, u)
+            steps += active
+            if not stop.any():
+                continue
+            edge = stop & (np.minimum(u - lo_c, hi_c - u) <= ROWS_EDGE_TOL)
+            converged |= stop & ~edge
+            active &= ~stop
+            if edge.any():  # widen such a row's c-bracket and go on
+                widen = edge & (widened < MAX_EXPANSIONS)
+                widened += widen
+                lo_c = lo_c - math.log(10.0) * widen
+                hi_c = hi_c + math.log(10.0) * widen
+                lo, hi = np.where(widen, lo_c, lo), np.where(widen, hi_c, hi)
+                active |= widen
+            if not active.any():
+                break
     c = np.exp(u)
-    k = n / np.logaddexp(0.0, c[:, None] * L).sum(axis=1)
-    return k, c, converged
+    with np.errstate(divide="ignore", over="ignore"):  # k is not finite where t underflows
+        k = n / log1p_exp(c[:, None] * L).sum(axis=1)
+    return k, c, converged & np.isfinite(k), steps
 
 
 # --------------------------------------------------------------------------

@@ -179,7 +179,11 @@ def _gammainc_123(z, ez):
     small = z < GAMMAINC_CUT
     if small.any():
         zs, zes = z[small], zez[small]
-        p3s = zes * zs * zs * np.polyval(_P3_SERIES, zs)
+        series = np.full_like(zs, _P3_SERIES[0])  # np.polyval's Horner steps, in place
+        for coef in _P3_SERIES[1:]:
+            series *= zs
+            series += coef
+        p3s = zes * zs * zs * series
         p2s = p3s + 0.5 * zes * zs
         p3[small], p2[small], p1[small] = p3s, p2s, p2s + zes
     return p1, p2, p3

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -332,43 +331,36 @@ def test_underflow_parity_cases_do_fail_rows():
 
 def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
     import steinfit.bootstrap as bs
-    # rows: an ordinary one; two whose profile rises past c = 1e3 (the
-    # batched fit leaves them to burr_mle, which widens its bracket, fits
-    # the first at c = 3135 and leaves the near-constant one on the edge of
-    # its widest bracket, c = 1e7); an underflowed draw, an overflowed draw
-    # and a constant row (burr_mle raises FitError)
+    # rows: an ordinary one; two whose profile rises past c = 1e3, which the
+    # batched fit widens its bracket for, as burr_mle does: it fits the first
+    # at c = 3135 and leaves the near-constant one on the edge of its widest
+    # bracket, c = 1e7; an underflowed draw, an overflowed draw and a
+    # constant row (burr_mle raises FitError).  No row falls back to the
+    # scalar fit.
     _fit_rows = _FAMILIES["burr"].fit_rows
     base = burr_data(n=30, k=1.0, c=2.0, seed=41)
     X = np.array([base, burr_data(n=30, k=1.0, c=3000.0, seed=42), 1.0 + 1e-9 * np.arange(30.0),
                   np.where(base == base.min(), 0.0, base),
                   np.where(base == base.max(), np.inf, base), np.full(30, 2.0)])
     fit = fit_family_retry("burr", base)
-    orig = bs.fit_family_retry
-    fallback = []
+    scalar = bs.fit_family_retry
 
-    def spy(family, x):
-        fallback.append(x)
-        return orig(family, x)
+    def no_fallback(family, x):
+        raise AssertionError("a row fell back to the scalar fit")
 
-    monkeypatch.setattr(bs, "fit_family_retry", spy)
+    monkeypatch.setattr(bs, "fit_family_retry", no_fallback)
     params, ok = _fit_rows(X, fit)
-    assert np.array_equal(np.array(fallback), X[1:3])
     assert ok.tolist() == [True, True, False, False, False, False]
-    for i in (1, 2):
-        ref = orig("burr", X[i])
-        assert (params["k"][i], params["c"][i]) == (ref.params["k"], ref.params["c"])
-
-    # a fallback fit that does not converge fails its row
-    monkeypatch.setattr(bs, "fit_family_retry",
-                        lambda family, x: dataclasses.replace(orig(family, x), converged=False))
-    assert _fit_rows(X, fit)[1].tolist() == [True, False, False, False, False, False]
-
-    # so does one that raises, as the scalar loop dropped such a replicate
-    def raises(family, x):
-        raise ValueError("math domain error")
-
-    monkeypatch.setattr(bs, "fit_family_retry", raises)
-    assert _fit_rows(X, fit)[1].tolist() == [True, False, False, False, False, False]
+    assert params["c"][1] == pytest.approx(3135, rel=1e-3)
+    assert params["c"][2] == pytest.approx(1e7, rel=1e-5)
+    for i in (0, 1, 2):
+        ref = scalar("burr", X[i])
+        assert ref.converged == ok[i]
+        assert params["c"][i] == pytest.approx(ref.params["c"], rel=1e-7)
+        assert params["k"][i] == pytest.approx(ref.params["k"], rel=1e-6)
+    for i in (3, 4, 5):
+        with pytest.raises(FitError):
+            scalar("burr", X[i])
 
 
 def test_moment_row_fits_fail_rows_whose_moments_overflow():

@@ -11,7 +11,7 @@ import pytest
 
 import steinfit
 from steinfit.cli import dumps, main, parse_params, read_data_file
-from steinfit.distributions import RngStream, make_distribution, sample
+from steinfit.distributions import RngStream, make_distribution, sample, score
 
 
 @pytest.fixture()
@@ -270,6 +270,23 @@ def test_cmd_verify_non_finite_parameter_exit_2(capsys, family, params, bad):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == f"error: parameter {bad}\n"
+
+
+def test_cmd_verify_weibull_with_an_overflowing_hazard(capsys):
+    # (x/lam)^k overflows on the grid; under this suite's warning filter a
+    # RuntimeWarning would raise, so the run below also shows that none escapes
+    code = main(["verify", "--family", "weibull", "--params", "k=1000,lam=1000"])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k, lam", [(0.5, 1.0), (1.5, 2.0), (3.0, 0.7), (20.0, 5.0)])
+def test_weibull_score_keeps_its_formula(k, lam):
+    x = np.geomspace(1e-3, 10.0, 500) * lam
+    want = (k - 1) / x - k * x ** (k - 1) / lam ** k
+    got = score(make_distribution("weibull", k=k, lam=lam), x)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_cmd_verify_unknown_family(capsys):

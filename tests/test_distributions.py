@@ -15,6 +15,7 @@ from steinfit.distributions import (
     boundary_density_limit,
     cdf,
     log_likelihood,
+    log1p_exp,
     logistic,
     logpdf,
     make_distribution,
@@ -326,6 +327,21 @@ def test_logistic_matches_expit():
         assert np.array_equal(got == 0, want == 0)
         nz = want != 0
         assert np.all(np.abs(got[nz] - want[nz]) <= 1e-15 * want[nz])
+
+
+def test_log1p_exp_matches_logaddexp():
+    # the Burr record's and the Burr fit's log(1 + e^z) against numpy's
+    z = np.concatenate((np.linspace(-800.0, 800.0, 400_001),
+                        [0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = log1p_exp(z)
+    with np.errstate(invalid="ignore"):  # numpy's own warns on nan
+        want = np.logaddexp(0.0, z)
+    fin = np.isfinite(want)
+    assert np.array_equal(got[~fin], want[~fin], equal_nan=True)
+    # one subnormal step apart where the value is subnormal, below z = -708
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15 * want[fin] + 5e-324)
 
 
 def test_boundary_density_limit_reads_the_record():

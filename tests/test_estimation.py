@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from steinfit import estimation
 from steinfit.distributions import RngStream, make_distribution, sample
 from steinfit.estimation import (
     FitError,
+    FitResult,
     burr_loglik,
     burr_mle,
     burr_mle_rows,
@@ -96,13 +99,162 @@ def _profile(x, u):
     return burr_loglik(x, burr_profile_k(x, c), c)
 
 
+# --------------------------------------------------------------------------
+# The Brent oracle: bounded Brent search on the profile, the estimator that
+# burr_mle was before the Newton row solver fitted every sample
+# --------------------------------------------------------------------------
+
+def _neg_profile(x):
+    """The oracle's objective: minus the profile log-likelihood in u = log c."""
+    logx, n = np.log(x), x.size
+
+    def f(u):
+        c = math.exp(u)
+        t = np.logaddexp(0.0, c * logx).sum()
+        if t == 0.0:  # every x^c underflows: k(c) = n/t is not finite
+            return math.inf
+        # l(k(c), c) with k(c) = n/t, using k(c)*t = n
+        return -(n * u + n * (math.log(n) - math.log(t)) + (c - 1) * logx.sum() - n - t)
+    return f
+
+
+def _brent_mle(s, search=None):
+    """Maximizes the profile over log c by bounded Brent search on
+    log(C_BRACKET); the bracket expands tenfold per side, at most
+    MAX_EXPANSIONS times, when the maximizer lands within ROWS_EDGE_TOL of an
+    edge, and an edge hit after the final expansion is reported as
+    non-convergence.  Raises FitError where burr_mle does."""
+    search = search or _bounded_brent
+    x = np.asarray(s, dtype=float)
+    if x.size < 2:
+        raise FitError("burr_mle needs at least 2 observations")
+    if np.any(x <= 0) or not np.all(np.isfinite(x)):
+        raise FitError("burr_mle needs positive, finite observations")
+    if np.all(x == x[0]):
+        raise FitError("degenerate sample: all observations equal")
+    lo, hi = (math.log(b) for b in estimation.C_BRACKET)
+    nfev = 0
+    for _ in range(estimation.MAX_EXPANSIONS + 1):
+        # a +inf profile makes Brent's parabolic step nan; golden section is taken
+        with np.errstate(invalid="ignore"):
+            lc_hat, calls, success = search(_neg_profile(x), lo, hi, xatol=1e-10, maxiter=500)
+        nfev += calls
+        edge = min(lc_hat - lo, hi - lc_hat) < estimation.ROWS_EDGE_TOL
+        if not edge:
+            break
+        lo -= math.log(10.0)
+        hi += math.log(10.0)
+    c_hat = math.exp(lc_hat)
+    with np.errstate(divide="ignore", over="ignore"):
+        k_hat = burr_profile_k(x, c_hat)
+    if not math.isfinite(k_hat):
+        raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
+    return FitResult(params={"k": k_hat, "c": c_hat}, converged=success and not edge,
+                     loglik=burr_loglik(x, k_hat, c_hat), iterations=nfev)
+
+
+def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
+    """Minimize func on [x1, x2] by Brent's bounded method: golden-section
+    steps with parabolic interpolation.  Returns (x, nfev, success); success
+    is False when maxiter evaluations run out or a value is nan.
+    """
+    # The loop of scipy's _minimize_scalar_bounded (scipy/optimize/_optimize.py,
+    # BSD-3-Clause), step for step and with its numpy scalar arithmetic, so
+    # every iterate has the bits of minimize_scalar(method="bounded").
+    flag = 0
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            flag = 1
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        flag = 2
+    return xf, num, flag == 0
+
+
 def test_burr_mle_rows_matches_brent_oracle():
     left = 0
     for x in _fit_agreement_samples():
-        ref = burr_mle(x)
+        ref = _brent_mle(x)
         k, c, converged = burr_mle_rows(x[None], 1.0)
         if not converged[0]:
-            # left to burr_mle only where its maximizer sits at the bracket's edge
+            # unconverged only where the maximizer lies past the widest bracket
             left += 1
             assert not 1e-3 * (1 + 1e-5) < ref.params["c"] < 1e3 * (1 - 1e-5)
             continue
@@ -119,19 +271,6 @@ def test_burr_mle_rows_matches_brent_oracle():
             tol = max(1e-7, 4 * math.sqrt(np.finfo(float).eps) * abs(u))
             assert abs(math.log(ref.params["c"]) - u) <= tol
     assert left <= 5
-
-
-def _neg_profile(x):
-    """burr_mle's objective: minus the profile log-likelihood in u = log c."""
-    logx, n = np.log(x), x.size
-
-    def f(u):
-        c = math.exp(u)
-        t = np.logaddexp(0.0, c * logx).sum()
-        if t == 0.0:
-            return math.inf
-        return -(n * u + n * (math.log(n) - math.log(t)) + (c - 1) * logx.sum() - n - t)
-    return f
 
 
 def _scipy_bounded(f, lo, hi, xatol, maxiter):
@@ -166,7 +305,7 @@ def _brent_cases():
 @pytest.mark.parametrize("f, bracket, maxiter, success", _brent_cases())
 def test_bounded_brent_is_scipys_bit_for_bit(f, bracket, maxiter, success):
     with np.errstate(invalid="ignore"):
-        ours = estimation._bounded_brent(f, *bracket, xatol=1e-10, maxiter=maxiter)
+        ours = _bounded_brent(f, *bracket, xatol=1e-10, maxiter=maxiter)
         ref = _scipy_bounded(f, *bracket, xatol=1e-10, maxiter=maxiter)
     assert np.float64(ours[0]).tobytes() == np.float64(ref[0]).tobytes()
     assert ours[1:] == ref[1:]
@@ -194,19 +333,58 @@ def _pin_samples():
             yield 1.0 + 10.0 ** -rng.uniform(2, 9) * rng.random(n)
 
 
-def _fit_or_error(x):
+def _fit_or_error(fit, x):
     try:
-        return burr_mle(x).to_dict()
+        return fit(x)
     except FitError as exc:
         return str(exc)
 
 
-def test_burr_mle_is_unchanged_from_scipys_bounded_brent(monkeypatch):
+def test_burr_mle_is_unchanged_from_scipys_bounded_brent():
+    # the Brent oracle, run with the port above and with scipy's own loop
     samples = list(_pin_samples())
-    ours = [_fit_or_error(x) for x in samples]
-    monkeypatch.setattr(estimation, "_bounded_brent", _scipy_bounded)
-    assert [_fit_or_error(x) for x in samples] == ours
-    assert sum(isinstance(fit, dict) for fit in ours) >= 150
+    ours = [_fit_or_error(_brent_mle, x) for x in samples]
+    ref = [_fit_or_error(lambda x: _brent_mle(x, _scipy_bounded), x) for x in samples]
+    assert [fit if isinstance(fit, str) else fit.to_dict() for fit in ours] == \
+        [fit if isinstance(fit, str) else fit.to_dict() for fit in ref]
+    assert sum(isinstance(fit, FitResult) for fit in ours) >= 150
+
+
+def _desk_samples(per_alternative):
+    """Samples of n = 100 from each alternative of the desk power table."""
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "table_n100_desk.json"
+    for j, alt in enumerate(json.loads(config.read_text())["alternatives"]):
+        law = make_distribution(alt["family"], **alt["params"])
+        for i in range(per_alternative):
+            yield sample(law, 100, RngStream(1000 * j + i))
+
+
+def test_burr_mle_meets_the_brent_oracle():
+    # on every pinned sample and 300 of each desk alternative: the same
+    # FitError, or a fit whose log-likelihood is at least the oracle's.  A
+    # sample whose maximizer lies past the first bracket converges or fails
+    # as the oracle does, with c within 1e-7 relative where both converge,
+    # unless its profile is too flat to fix c (curvature below 1e-3 n)
+    samples = list(_fit_agreement_samples()) + list(_pin_samples()) + list(_desk_samples(300))
+    widened = 0
+    for x in samples:
+        ref, fit = _fit_or_error(_brent_mle, x), _fit_or_error(burr_mle, x)
+        if isinstance(ref, str) or isinstance(fit, str):
+            # "... not finite at c = ...": on such a flat profile c differs
+            assert isinstance(fit, str) and isinstance(ref, str)
+            assert fit.split(" at c =")[0] == ref.split(" at c =")[0]
+            continue
+        assert fit.loglik >= ref.loglik - 1e-12 * abs(ref.loglik)
+        if 1e-3 < ref.params["c"] < 1e3:
+            continue
+        widened += 1
+        u, h = math.log(fit.params["c"]), 1e-2
+        curvature = abs(_profile(x, u + h) - 2 * fit.loglik + _profile(x, u - h)) / h ** 2
+        if curvature >= 1e-3 * x.size:
+            assert fit.converged == ref.converged
+            if fit.converged:
+                assert fit.params["c"] == pytest.approx(ref.params["c"], rel=1e-7)
+    assert widened >= 30
 
 
 def test_burr_mle_rows_rows_are_independent_of_the_batch():
@@ -229,9 +407,20 @@ def test_burr_mle_rows_edge_rows_left_unconverged(c_true, bracket, edge, monkeyp
     if bracket is not None:
         monkeypatch.setattr(estimation, "C_BRACKET", bracket)
     X = np.array([draw("burr_xii", 80, seed, k=1.0, c=c_true) for seed in range(3)])
-    _, c, converged = burr_mle_rows(X, 1.0)
+    # with no widening left, rows on the bracket's edge are not converged
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "MAX_EXPANSIONS", 0)
+        _, c, converged = burr_mle_rows(X, 1.0)
     assert not converged.any()
     assert np.allclose(c, edge, rtol=1e-6)
+    # widened, they converge where the Brent oracle does
+    _, c, converged = burr_mle_rows(X, 1.0)
+    assert converged.all()
+    lo, hi = estimation.C_BRACKET
+    for x, c_row in zip(X, c):
+        ref = _brent_mle(x)
+        assert ref.converged and not lo < ref.params["c"] < hi
+        assert c_row == pytest.approx(ref.params["c"], rel=1e-7)
 
 
 def test_moments_rows_bit_identical_to_fits():
@@ -245,8 +434,8 @@ def test_moments_rows_bit_identical_to_fits():
 
 
 def test_burr_mle_widens_its_bracket_past_an_edge():
-    # the profile still rises at c = 1e3: bounded Brent stops about 1.5e-7
-    # (in log c) short of the bound, which the edge rule must catch
+    # the profile still rises at c = 1e3: the fit ends on the bracket's
+    # edge, which the edge rule must catch and widen
     x = draw("burr_xii", 80, 42, k=1.0, c=3000.0)
     fit = burr_mle(x)
     assert fit.converged

@@ -193,6 +193,18 @@ def test_gammainc_123_leading_term_below_1e_17():
         np.testing.assert_allclose(got, z ** k / math.factorial(k), rtol=1e-13, atol=2e-323)
 
 
+def test_gammainc_123_series_is_polyval_bit_for_bit():
+    # the in-place Horner loop takes np.polyval's steps in its order
+    z = np.concatenate((np.geomspace(1e-300, gof.GAMMAINC_CUT, 20001)[:-1],
+                        [np.nextafter(gof.GAMMAINC_CUT, 0.0)]))
+    zez = z * np.exp(-z)
+    p3 = zez * z * z * np.polyval(gof._P3_SERIES, z)
+    p2 = p3 + 0.5 * zez * z
+    got = _gammainc_123(z)
+    for g, want in zip(got, (p2 + zez, p2, p3)):
+        assert g.tobytes() == want.tobytes()
+
+
 def test_gammainc_123_limits():
     assert [p.tolist() for p in _gammainc_123([0.0])] == [[0.0]] * 3
     big = [50.0, 1e3, 1e300, 1.7e308]
