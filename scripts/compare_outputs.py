@@ -15,7 +15,13 @@ a fresh interpreter with that checkout's ``src`` first on the path:
   and one with B_{n,a} and L2 statistics, and on a small normal config (ks
   and L2 at a = 1) whose alternatives cover every catalog family, so that
   every family's draws are compared;
+* ``steinfit simulate`` on five configs that must be refused with exit 2:
+  ``statistics`` or ``alternatives`` a number, a top-level array, a
+  statistic name that is a list, and B_{n,a} under the gamma family;
 * ``steinfit verify`` on each of the 18 cases of ``scripts/verify_catalog.py``.
+
+A run that raises is recorded with a null exit code and the traceback as its
+stderr, and the corpus goes on.
 
 The script prints the share of byte-identical outputs (exit code, stdout,
 stderr, and every report file but the ``wall_time_s`` line), the worst
@@ -74,10 +80,18 @@ SIMULATE = {
                      "alternatives": [{"family": family, "params": kw}
                                       for family, kw in dict(CASES).items()]},
 }
+# configs ``steinfit simulate`` must refuse with exit 2, written as they stand
+REFUSED = {
+    "int_statistics": dict(SIMULATE["edf"], statistics=5),
+    "int_alternatives": dict(SIMULATE["edf"], alternatives=7),
+    "top_level_array": [SIMULATE["edf"]],
+    "list_stat_name": dict(SIMULATE["edf"], statistics=[{"stat": ["B"]}]),
+    "B_under_gamma": dict(SIMULATE["weighted_l2"], family="gamma"),
+}
 
 # Runs the corpus inside one checkout: argv = [checkout, corpus.json, results.json].
 RUNNER = r"""
-import contextlib, io, json, os, sys, warnings
+import contextlib, io, json, os, sys, traceback, warnings
 checkout, corpus_path, out_path = sys.argv[1:]
 sys.path.insert(0, os.path.join(checkout, "src"))
 import steinfit.cli
@@ -93,6 +107,9 @@ for run in json.load(open(corpus_path)):
             code = steinfit.cli.main(run["argv"])
         except SystemExit as exc:
             code = exc.code
+        except Exception:
+            code = None
+            traceback.print_exc()
     files = {}
     for name in run.get("files", []):
         with open(os.path.join(run["out_dir"], name)) as fh:
@@ -148,6 +165,13 @@ def build_corpus(work: str) -> list:
                            "out_dir": out_dir, "files": ["report.json", "report.csv", "report.md"],
                            "argv": ["simulate", "--config", cfg, "--threads", threads,
                                     "--out", out_dir]})
+    for name, doc in REFUSED.items():
+        cfg = os.path.join(work, f"refused_{name}.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        corpus.append({"group": "simulate/refused", "label": f"simulate/refused/{name}",
+                       "argv": ["simulate", "--config", cfg, "--threads", "1",
+                                "--out", os.path.join(work, f"refused_{name}")]})
     for index, (family, kw) in enumerate(CASES):
         params = ",".join(f"{name}={value}" for name, value in kw.items())
         corpus.append({"group": f"verify/{family}", "label": f"verify/{index}/{family}",
@@ -225,7 +249,7 @@ def compare(corpus, old, new):
             elif od.get(key) != wd.get(key):
                 changed.append(f"{label}: {key} {od.get(key)!r} -> {wd.get(key)!r}")
     identical = sum(same for same, _ in groups.values())
-    print(f"runs: {len(corpus)}, exit codes {dict(sorted(codes.items()))}")
+    print(f"runs: {len(corpus)}, exit codes {dict(sorted(codes.items(), key=str))}")
     print(f"byte-identical: {identical}/{len(corpus)} ({100.0 * identical / len(corpus):.1f}%)")
     for group, (same, runs) in groups.items():
         print(f"  {group}: {same}/{runs}")

@@ -200,10 +200,11 @@ def _l2_rows(family: str, a: float, X: np.ndarray, params: dict) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def check_statistics(family: str, stats) -> None:
-    """Raise ValueError if a statistic does not apply to the family: B_{n,a}
-    is defined for the Burr family only."""
-    if family != "burr" and any(stat.tag == "burr_B" for stat in stats):
-        raise ValueError("the burr_B statistic applies to the burr family only")
+    """Raise ValueError if ``gof.STATISTICS`` restricts a statistic to another family."""
+    for stat in stats:
+        only = gof.STATISTICS[stat.tag].family
+        if only not in (None, family):
+            raise ValueError(f"the {stat.tag} statistic applies to the {only} family only")
 
 
 def replicate_statistics(family: str, stats, X: np.ndarray, params: dict) -> np.ndarray:

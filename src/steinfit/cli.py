@@ -25,7 +25,7 @@ import sys
 from .bootstrap import FAMILIES, BootstrapError, bootstrap_test
 from .characterization import QuadratureError, check_conditions, default_operator, fixed_point_residual
 from .distributions import DomainError, RngStream, make_distribution
-from .gof import STAT_NAMES, StatisticId
+from .gof import STAT_NAMES, STATISTICS, StatisticId
 from .simulation import ConfigError, config_from_dict, config_hash, render_table, run_power_study
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def _cmd_test(args) -> int:
 
     tag = STAT_NAMES[args.stat]
     try:
-        stat = StatisticId(tag, a=args.a if tag in ("burr_B", "generic_L2") else None)
+        stat = StatisticId(tag, a=args.a if STATISTICS[tag].weighted else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -258,6 +258,15 @@ _register(
     score=lambda p, x: np.sign(p["mu"] - x) / p["sigma"],
 )
 
+
+def _gamma_draw(p, u):
+    """Gamma(k, lam) variates at uniforms u.  Below k = 0.05 or so the
+    smallest standard variates underflow to 0 or a subnormal, and for lam < 1
+    so do the scaled ones, where the score (k-1)/x overflows: both are
+    floored at _TINY, which leaves every variate above it as it was."""
+    return np.maximum(p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY), _TINY)
+
+
 _register(
     "gamma", ("k", "lam"),
     support=lambda p: Support(0.0, _INF),
@@ -267,9 +276,7 @@ _register(
     cdf=lambda p, x: sp.gammainc(p["k"], x / p["lam"]),
     sf=lambda p, x: sp.gammaincc(p["k"], x / p["lam"]),
     quantile=lambda p, u: p["lam"] * sp.gammaincinv(p["k"], u),
-    # below k = 0.05 or so the smallest standard variates underflow to 0 or a
-    # subnormal, where the score (k-1)/y overflows: they are floored at _TINY
-    draw=lambda p, u: p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY),
+    draw=_gamma_draw,
     score=lambda p, x: (p["k"] - 1) / x - 1.0 / p["lam"],
 )
 
@@ -499,10 +506,9 @@ _register(
     cdf=lambda p, x: sp.gammainc(p["k"], (x - p["mu"]) / p["lam"]),
     sf=lambda p, x: sp.gammaincc(p["k"], (x - p["mu"]) / p["lam"]),
     quantile=lambda p, u: p["mu"] + p["lam"] * sp.gammaincinv(p["k"], u),
-    # gamma's floor on the standard variate, and the sum floored at the next
-    # double above mu, which it rounds to when lam * variate is below half an ulp of mu
-    draw=lambda p, u: np.maximum(p["mu"] + p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY),
-                                 np.nextafter(p["mu"], _INF)),
+    # the sum is floored at the next double above mu, which it rounds to when
+    # the gamma draw is below half an ulp of mu
+    draw=lambda p, u: np.maximum(p["mu"] + _gamma_draw(p, u), np.nextafter(p["mu"], _INF)),
     score=lambda p, x: (p["k"] - 1) / (x - p["mu"]) - 1.0 / p["lam"],
 )
 

@@ -209,10 +209,9 @@ def normal_fit(s) -> FitResult:
 
 def _moments(x):
     """Mean and variance (divisor n) of one sample, for gamma_fit and
-    normal_fit; FitError when either overflows or the variance is 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(x))
-        var = float(np.mean((x - mean) ** 2))
+    normal_fit, as the one-row case of moments_rows; FitError when either
+    overflows or the variance is 0."""
+    mean, var = (float(v[0]) for v in moments_rows(x[None]))
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise FitError(f"the sample mean or variance overflows (mean {mean:.6g}, "
                        f"variance {var:.6g})")
@@ -222,9 +221,8 @@ def _moments(x):
 
 
 def moments_rows(X):
-    """Row means and variances (divisor n) of a matrix, summed as _moments
-    sums one sample, so each row's values are bit-identical; a row whose
-    moments overflow gets a non-finite value, without a warning."""
+    """Row means and variances (divisor n) of a matrix; a row whose moments
+    overflow gets a non-finite value, without a warning."""
     X = np.asarray(X, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.mean(X, axis=1)

@@ -28,10 +28,25 @@ import numpy as np
 
 from .distributions import as_values, logistic
 
-# config / CLI name -> statistic tag
-STAT_NAMES = {"B": "burr_B", "L2": "generic_L2", "ks": "ks", "cvm": "cvm",
-              "ad": "ad", "watson": "watson"}
-STAT_TAGS = tuple(STAT_NAMES.values())
+
+@dataclass(frozen=True)
+class StatisticKind:
+    name: str  # config / CLI name
+    label: str  # report label; a weighted statistic's is followed by _a
+    weighted: bool  # takes the exponential-weight parameter a
+    family: str | None = None  # the one hypothesis family it applies to
+
+
+# statistic tag -> every fact about the statistic but its formula
+STATISTICS = {
+    "burr_B": StatisticKind("B", "B", True, "burr"),
+    "generic_L2": StatisticKind("L2", "L2", True),
+    "ks": StatisticKind("ks", "KS", False),
+    "cvm": StatisticKind("cvm", "CM", False),
+    "ad": StatisticKind("ad", "AD", False),
+    "watson": StatisticKind("watson", "WA", False),
+}
+STAT_NAMES = {kind.name: tag for tag, kind in STATISTICS.items()}  # config / CLI name -> tag
 
 AD_CLAMP = 1e-15  # fitted CDF values are clamped to [AD_CLAMP, 1 - AD_CLAMP]
 
@@ -40,7 +55,7 @@ AD_CLAMP = 1e-15  # fitted CDF values are clamped to [AD_CLAMP, 1 - AD_CLAMP]
 class StatisticId:
     """Identifier for a test statistic.
 
-    ``a`` is the exponential-weight tuning parameter (burr_B / generic_L2
+    ``a`` is the exponential-weight tuning parameter (weighted statistics
     only).
     """
 
@@ -48,9 +63,9 @@ class StatisticId:
     a: float | None = None
 
     def __post_init__(self):
-        if self.tag not in STAT_TAGS:
-            raise ValueError(f"unknown statistic tag '{self.tag}'; known: {STAT_TAGS}")
-        if self.tag in ("burr_B", "generic_L2"):
+        if self.tag not in STATISTICS:
+            raise ValueError(f"unknown statistic tag '{self.tag}'; known: {tuple(STATISTICS)}")
+        if STATISTICS[self.tag].weighted:
             if not _weight_ok(self.a):
                 raise ValueError(f"statistic '{self.tag}' needs a real weight parameter "
                                  f"a > 0 with a**3 positive and finite, got {self.a!r}")
@@ -59,11 +74,10 @@ class StatisticId:
 
     @property
     def label(self) -> str:
-        if self.tag == "burr_B":
-            return f"B_{_trim(self.a)}"
-        if self.tag == "generic_L2":
-            return f"L2_{_trim(self.a)}"
-        return {"ks": "KS", "cvm": "CM", "ad": "AD", "watson": "WA"}[self.tag]
+        kind = STATISTICS[self.tag]
+        if not kind.weighted:
+            return kind.label
+        return f"{kind.label}_{int(self.a) if float(self.a).is_integer() else self.a}"
 
 
 def _weight_ok(a) -> bool:
@@ -74,10 +88,6 @@ def _weight_ok(a) -> bool:
         return 0.0 < float(a) ** 3 < math.inf
     except OverflowError:
         return False
-
-
-def _trim(a: float) -> str:
-    return str(int(a)) if float(a).is_integer() else str(a)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bootstrap import (
     FAMILIES,
@@ -37,7 +37,7 @@ from .bootstrap import (
 # unused here, but bench/tracer.py wraps these names in this module's namespace
 from .bootstrap import evaluate_statistic, fit_family_retry, fitted_distribution  # noqa: F401
 from .distributions import DistributionSpec, ParameterError, RngStream, make_distribution, sample
-from .gof import STAT_NAMES, StatisticId
+from .gof import STAT_NAMES, STATISTICS, StatisticId
 
 MAX_CELL_FAILURE_FRACTION = 0.05
 
@@ -101,13 +101,21 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
     Collects every field problem before raising so a bad config is reported
     in one pass.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
     problems = []
+
+    def listfield(key):
+        val = doc.get(key) or []
+        if not isinstance(val, list):
+            problems.append(f"{key}: expected a list, got {val!r}")
+            return []
+        return val
 
     def intfield(key, minimum):
         val = doc.get(key)
         if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
             problems.append(f"{key}: expected an integer >= {minimum}, got {val!r}")
-            return minimum
         return val
 
     n = intfield("n", 2)
@@ -116,18 +124,16 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
     seed = doc.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append(f"seed: expected an integer, got {seed!r}")
-        seed = 0
     alpha = doc.get("alpha")
     if not _is_number(alpha) or not 0 < alpha < 1:
         problems.append(f"alpha: expected a number in (0, 1), got {alpha!r}")
-        alpha = 0.1
 
     stats = []
-    for i, entry in enumerate(doc.get("statistics") or []):
+    for i, entry in enumerate(listfield("statistics")):
         try:
             _check_entry(entry, "stat", ("stat", "a"))
             name = entry["stat"]
-            if name not in STAT_NAMES:
+            if not isinstance(name, str) or name not in STAT_NAMES:
                 raise ValueError(f"unknown statistic tag {name!r}; valid tags: "
                                  f"{', '.join(sorted(STAT_NAMES))}")
             stats.append(StatisticId(STAT_NAMES[name], a=entry.get("a")))
@@ -137,7 +143,7 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
         problems.append("statistics: must be non-empty")
 
     alts = []
-    for i, entry in enumerate(doc.get("alternatives") or []):
+    for i, entry in enumerate(listfield("alternatives")):
         try:
             _check_entry(entry, "family", ("family", "params", "label"))
             params = entry.get("params") or {}
@@ -152,15 +158,12 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
     if not alts and not problems:
         problems.append("alternatives: must be non-empty")
 
-    family = doc.get("family", "burr")
-    share = doc.get("share_bootstrap", True)
+    family = doc.get("family", PowerStudyConfig.family)
+    share = doc.get("share_bootstrap", PowerStudyConfig.share_bootstrap)
     if not isinstance(share, bool):
         problems.append(f"share_bootstrap: expected a boolean, got {share!r}")
-        share = True
 
-    unknown = set(doc) - {"n", "alpha", "mc_reps", "bootstrap_B", "seed", "statistics",
-                          "alternatives", "family", "share_bootstrap"}
-    for key in sorted(unknown):
+    for key in sorted(set(doc) - {f.name for f in fields(PowerStudyConfig)}):
         problems.append(f"{key}: unknown config key")
 
     if problems:
@@ -185,12 +188,8 @@ def _check_entry(entry, required: str, allowed) -> None:
 
 
 def config_to_dict(cfg: PowerStudyConfig) -> dict:
-    stats = []
-    for s in cfg.statistics:
-        entry = {"stat": {v: k for k, v in STAT_NAMES.items()}[s.tag]}
-        if s.a is not None:
-            entry["a"] = s.a
-        stats.append(entry)
+    stats = [{"stat": STATISTICS[s.tag].name} | ({} if s.a is None else {"a": s.a})
+             for s in cfg.statistics]
     return {
         "n": cfg.n, "alpha": cfg.alpha, "mc_reps": cfg.mc_reps,
         "bootstrap_B": cfg.bootstrap_B, "seed": cfg.seed,

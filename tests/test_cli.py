@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import steinfit
+from steinfit.bootstrap import FAMILIES, check_statistics
 from steinfit.cli import dumps, main, parse_params, read_data_file
 from steinfit.distributions import RngStream, make_distribution, sample, score
+from steinfit.gof import STATISTICS, StatisticId
+from steinfit.simulation import ConfigError, config_from_dict, config_to_dict
 
 
 @pytest.fixture()
@@ -475,6 +478,51 @@ def test_cmd_simulate_weight_must_be_a_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: statistics[1]: ")
+
+
+# every row of gof.STATISTICS, with its label at the weight a weighted one is given
+STATISTIC_LABELS = {"burr_B": "B_0.25", "generic_L2": "L2_1", "ks": "KS", "cvm": "CM",
+                    "ad": "AD", "watson": "WA"}
+
+
+def test_statistic_labels_cover_the_table():
+    assert list(STATISTIC_LABELS) == list(STATISTICS)
+
+
+@pytest.mark.parametrize("tag", list(STATISTIC_LABELS))
+def test_each_statistics_row_reaches_every_consumer(burr_file, tmp_path, capsys, tag):
+    kind, label = STATISTICS[tag], STATISTIC_LABELS[tag]
+    a = float(label.rpartition("_")[2]) if kind.weighted else None
+    assert StatisticId(tag, a=a).label == label
+    # the weight rule
+    if kind.weighted:
+        with pytest.raises(ValueError, match=f"statistic '{tag}' needs a real weight"):
+            StatisticId(tag)
+    else:
+        with pytest.raises(ValueError, match=f"statistic '{tag}' takes no weight parameter"):
+            StatisticId(tag, a=1.0)
+    # the CLI takes the name, and passes --a only to a weighted statistic
+    home = kind.family or "burr"
+    argv = ["test", "--data", burr_file, "--stat", kind.name, "--a", str(a or 3.0), "--B", "10"]
+    assert main(argv + ["--family", home]) == 0
+    assert json.loads(capsys.readouterr().out)["statistic"] == label
+    # the config name round-trips
+    entry = {"stat": kind.name} | ({} if a is None else {"a": a})
+    cfg = config_from_dict(dict(SIM_DOC, statistics=[entry], family=home))
+    assert config_to_dict(cfg)["statistics"] == [entry]
+    # the family restriction, in the library, the config and the CLI
+    for family in FAMILIES:
+        if kind.family in (None, family):
+            check_statistics(family, [StatisticId(tag, a=a)])
+            continue
+        problem = f"the {tag} statistic applies to the {kind.family} family only"
+        with pytest.raises(ValueError, match=problem):
+            check_statistics(family, [StatisticId(tag, a=a)])
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(dict(SIM_DOC, statistics=[entry], family=family))
+        assert err.value.problems == [f"statistics: {problem}"]
+        assert main(argv + ["--family", family]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 def test_cmd_simulate_out_is_a_file_exit_2(tmp_path, capsys, monkeypatch):

@@ -277,28 +277,36 @@ def test_burr_draws_at_an_extreme_fit_overflow_silently():
     assert np.isinf(got).any() and not np.isnan(got).any()
 
 
-@pytest.mark.parametrize("lam", [1.0, 3899.0])
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 3899.0])
 def test_gamma_draws_at_a_tiny_shape_are_floored(lam):
     # at k = 0.0109 about 4e-4 of the standard variates lie below the
     # smallest normal double, where the quantile gives 0 or a subnormal; the
-    # draw floors the standard variate there and is the quantile elsewhere
+    # draw floors the standard variate there, and below lam = 1 the scaled
+    # draw too, so no score overflows; it is the quantile elsewhere
     tiny = np.finfo(float).tiny
     dist = _dist("gamma", dict(k=0.0109, lam=lam))
     streams = [RngStream(3).child("boot", b) for b in range(200)]
-    got = sample_rows(dist, 100, streams)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sample_rows(dist, 100, streams)
+        s = score(dist, got)
+    assert np.isfinite(s).all()
     u = np.array([np.clip(rng.generator().random(100), 2.0 ** -53, 1 - 2.0 ** -53)
                   for rng in streams])
     q = quantile(dist, u)
-    assert (q == 0).any() and got.min() == lam * tiny >= tiny
-    above = q >= lam * tiny
+    floor = max(lam * tiny, tiny)
+    assert (q == 0).any() and got.min() == floor
+    above = q >= floor
     assert np.array_equal(got[above], q[above])
 
 
-@pytest.mark.parametrize("k, lam, mu", [(0.0109, 1.0, 0.0), (2.0, 1e-20, 1e3)])
+@pytest.mark.parametrize("k, lam, mu", [(0.0109, 1.0, 0.0), (0.0109, 0.1, 0.0),
+                                      (2.0, 1e-20, 1e3)])
 def test_shifted_gamma_draws_stay_inside_the_open_support(k, lam, mu):
-    # at a tiny shape the standard variate underflows to 0 or a subnormal, as
-    # gamma's does, and at a scale far below an ulp of mu the sum rounds to
-    # mu: the draw floors both and is the quantile elsewhere
+    # at a tiny shape the standard variate, and below lam = 1 the scaled one,
+    # underflows to 0 or a subnormal, as gamma's does, and at a scale far
+    # below an ulp of mu the sum rounds to mu: the draw floors all three and
+    # is the quantile elsewhere
     tiny = np.finfo(float).tiny
     dist = _dist("shifted_gamma", dict(k=k, lam=lam, mu=mu))
     streams = [RngStream(3).child("boot", b) for b in range(200)]
@@ -306,11 +314,11 @@ def test_shifted_gamma_draws_stay_inside_the_open_support(k, lam, mu):
         warnings.simplefilter("error", RuntimeWarning)
         got = sample_rows(dist, 100, streams)
         s = score(dist, got)
-    assert (got > mu).all() and np.isfinite(got).all() and np.isfinite(s).all()
+    assert (got - mu >= tiny).all() and np.isfinite(got).all() and np.isfinite(s).all()
     u = np.array([np.clip(rng.generator().random(100), 2.0 ** -53, 1 - 2.0 ** -53)
                   for rng in streams])
     g = special.gammaincinv(k, u)
-    kept = (g >= tiny) & (mu + lam * g > mu)
+    kept = (lam * g >= tiny) & (mu + lam * g > mu)
     assert (~kept).any()
     assert np.array_equal(got[kept], quantile(dist, u)[kept])
 

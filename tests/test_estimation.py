@@ -433,6 +433,16 @@ def test_moments_rows_bit_identical_to_fits():
         assert (z.params["mu"], z.params["sigma2"]) == (mean[i], var[i])
 
 
+def test_one_sample_moments_are_the_one_row_case_bit_for_bit():
+    # _moments reads moments_rows on one row; the row reduction gives the
+    # bits of the one-dimensional mean and centred mean square
+    rng = np.random.default_rng(22)
+    for n in rng.integers(2, 4098, 1600):
+        x = rng.gamma(rng.uniform(0.2, 5.0), rng.uniform(0.1, 10.0), n) - rng.uniform(0, 3)
+        mean = float(np.mean(x))
+        assert estimation._moments(x) == (mean, float(np.mean((x - mean) ** 2)))
+
+
 def test_burr_mle_widens_its_bracket_past_an_edge():
     # the profile still rises at c = 1e3: the fit ends on the bracket's
     # edge, which the edge rule must catch and widen

@@ -282,6 +282,29 @@ def test_config_rejects_B_under_another_family(tmp_path, capsys, family):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, problem", [
+    (dict(GOOD_DOC, statistics=5), "statistics: expected a list, got 5"),
+    (dict(GOOD_DOC, alternatives=7), "alternatives: expected a list, got 7"),
+    (dict(GOOD_DOC, statistics={"stat": "ks"}), "statistics: expected a list, got {'stat': 'ks'}"),
+    ([GOOD_DOC], "config: expected a JSON object, got list"),
+    (dict(GOOD_DOC, statistics=[{"stat": ["B"]}]),
+     "statistics[0]: unknown statistic tag ['B']; valid tags: B, L2, ad, cvm, ks, watson"),
+], ids=["int-statistics", "int-alternatives", "object-statistics", "top-level-array",
+        "list-stat-name"])
+def test_malformed_config_is_a_schema_error(tmp_path, capsys, doc, problem):
+    # a config of the wrong JSON types is named field by field, exit 2, and
+    # never ends in a traceback
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.problems == [problem]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_rejects_an_unknown_family():
     with pytest.raises(ConfigError) as err:
         small_config(family="weibull").validate()
