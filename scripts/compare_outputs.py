@@ -15,9 +15,12 @@ a fresh interpreter with that checkout's ``src`` first on the path:
   and one with B_{n,a} and L2 statistics, and on a small normal config (ks
   and L2 at a = 1) whose alternatives cover every catalog family, so that
   every family's draws are compared;
-* ``steinfit simulate`` on five configs that must be refused with exit 2:
+* ``steinfit test`` with B at a = 1 and ks on 3 samples (n = 80) from
+  Burr XII(k = 1, c = 3000), whose fitted c lies past 1e3;
+* ``steinfit simulate`` on seven configs that must be refused with exit 2:
   ``statistics`` or ``alternatives`` a number, a top-level array, a
-  statistic name that is a list, and B_{n,a} under the gamma family;
+  statistic name that is a list, an alternative family that is a list or
+  an object, and B_{n,a} under the gamma family;
 * ``steinfit verify`` on each of the 18 cases of ``scripts/verify_catalog.py``.
 
 A run that raises is recorded with a null exit code and the traceback as its
@@ -61,6 +64,10 @@ STATS = {
     "normal": [("L2", a) for a in A_VALUES] + [("cvm", None)],
 }
 CLOSE_FIELDS = ("statistic_value", "critical_value")
+# Burr XII(k = 1, c = EDGE_C) samples of EDGE_N observations, EDGE_DATASETS of
+# them, tested with each of EDGE_STATS: their fitted c lies past 1e3
+EDGE_C, EDGE_N, EDGE_DATASETS = 3000.0, 80, 3
+EDGE_STATS = [("B", 1.0), ("ks", None)]
 BURR_ALTERNATIVES = [
     {"family": "burr_xii", "params": {"k": 1, "c": 1}, "label": "BurrXII(1,1)"},
     {"family": "weibull", "params": {"k": 0.5, "lam": 1}, "label": "W(0.5)"},
@@ -86,6 +93,8 @@ REFUSED = {
     "int_alternatives": dict(SIMULATE["edf"], alternatives=7),
     "top_level_array": [SIMULATE["edf"]],
     "list_stat_name": dict(SIMULATE["edf"], statistics=[{"stat": ["B"]}]),
+    "list_family": dict(SIMULATE["edf"], alternatives=[{"family": ["gamma"]}]),
+    "object_family": dict(SIMULATE["edf"], alternatives=[{"family": {"name": "gamma"}}]),
     "B_under_gamma": dict(SIMULATE["weighted_l2"], family="gamma"),
 }
 
@@ -140,20 +149,36 @@ def draw(family: str, index: int) -> np.ndarray:
     return [rng.laplace(0.0, 1.0, N), rng.standard_t(4, N)][index // 2 % 2]
 
 
+def draw_edge(index: int) -> np.ndarray:
+    """Burr XII(k = 1, c = EDGE_C) data set ``index``, by inversion."""
+    u = np.random.default_rng([2024, index, len(STATS)]).random(EDGE_N)
+    return np.expm1(-np.log1p(-u)) ** (1.0 / EDGE_C)
+
+
+def cli_test_runs(work: str, name: str, family: str, data: np.ndarray, stats,
+                  index: int) -> list:
+    """``steinfit test`` runs of each of ``stats`` on ``data``, seeded by ``index``."""
+    path = os.path.join(work, f"{name}_{index}.txt")
+    with open(path, "w") as fh:
+        fh.write("".join(f"{float(v)!r}\n" for v in data))
+    runs = []
+    for stat, a in stats:
+        argv = ["test", "--data", path, "--family", family, "--stat", stat,
+                "--B", str(B), "--seed", str(index)]
+        if a is not None:
+            argv += ["--a", str(a)]
+        group = f"{name}/{stat}" + ("" if a is None else f"_{a:g}")
+        runs.append({"group": group, "label": f"{group}/{index}", "argv": argv})
+    return runs
+
+
 def build_corpus(work: str) -> list:
     corpus = []
     for family, stats in STATS.items():
         for index in range(DATASETS):
-            path = os.path.join(work, f"{family}_{index}.txt")
-            with open(path, "w") as fh:
-                fh.write("".join(f"{float(v)!r}\n" for v in draw(family, index)))
-            for stat, a in stats:
-                argv = ["test", "--data", path, "--family", family, "--stat", stat,
-                        "--B", str(B), "--seed", str(index)]
-                if a is not None:
-                    argv += ["--a", str(a)]
-                group = f"{family}/{stat}" + ("" if a is None else f"_{a:g}")
-                corpus.append({"group": group, "label": f"{group}/{index}", "argv": argv})
+            corpus += cli_test_runs(work, family, family, draw(family, index), stats, index)
+    for index in range(EDGE_DATASETS):
+        corpus += cli_test_runs(work, "burr_edge", "burr", draw_edge(index), EDGE_STATS, index)
     for name, doc in SIMULATE.items():
         cfg = os.path.join(work, f"{name}.json")
         with open(cfg, "w") as fh:

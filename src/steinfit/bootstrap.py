@@ -14,12 +14,11 @@ The observed sample is fitted by ``fit_family_retry`` and scored by
 ``evaluate_statistic``, as one row of the replicates' kernels.  The B
 replicates of one sample are handled as (rows, n) matrices of at most
 BLOCK_DRAWS draws each: drawn with one quantile call, re-fitted together
-(Burr rows by ``estimation.burr_mle_rows``, of which the observed sample's
-``burr_mle`` is the one-row case; gamma and normal rows by their moment
-estimators), and scored by one kernel call per kind of statistic
-(``replicate_statistics``).  Every row's result is independent of the block
-it falls in, so each estimator and statistic has one formula, whichever
-sample it fits or scores.
+by the family's row fit in ``estimation`` (of which the observed sample's
+fit is the one-row case, and which refuses the rows that fit would), and
+scored by one kernel call per kind of statistic (``replicate_statistics``).
+Every row's result is independent of the block it falls in, so each
+estimator and statistic has one formula, whichever sample it fits or scores.
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ from .estimation import (
     burr_mle,
     burr_mle_rows,
     gamma_fit,
-    moments_rows,
+    gamma_fit_rows,
     normal_fit,
+    normal_fit_rows,
 )
 from .gof import StatisticId
 
@@ -92,48 +92,21 @@ class _Family:
     law: str  # catalog family of the fitted law (Burr XII at scale 1)
     operator: str  # the unit law's operator variant: positive_axis_min or real_line
     fit: Callable  # sample -> FitResult
-    fit_rows: Callable  # (X, fit) -> ((rows,) array per parameter, rows ``fit`` would fit)
+    fit_rows: Callable  # (X, fit) -> (an array per parameter of ``fit``, in order; rows fitted)
     unit: Callable  # fit params -> (shift, scale, params of the unit law)
-
-
-def _burr_rows(X: np.ndarray, fit: FitResult):
-    # burr_mle raises FitError on these rows
-    ok = np.all(np.isfinite(X) & (X > 0), axis=1)
-    ok[ok] = np.ptp(X[ok], axis=1) > 0
-    rows = np.flatnonzero(ok)
-    params = {"k": np.full(X.shape[0], math.nan), "c": np.full(X.shape[0], math.nan)}
-    params["k"][rows], params["c"][rows], ok[rows] = burr_mle_rows(X[rows], fit.params["c"])
-    return params, ok
-
-
-def _gamma_rows(X: np.ndarray, fit: FitResult):
-    mean, var = moments_rows(X)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        params = {"k": mean * mean / var, "lam": var / mean}
-    # the rows on which gamma_fit raises no FitError
-    ok = (np.all(X > 0, axis=1) & _moments_ok(mean, var)
-          & np.isfinite(params["k"]) & np.isfinite(params["lam"]))
-    return params, ok
-
-
-def _normal_rows(X: np.ndarray, fit: FitResult):
-    mean, var = moments_rows(X)
-    return {"mu": mean, "sigma2": var}, _moments_ok(mean, var)
-
-
-def _moments_ok(mean, var):
-    # the rows on which gamma_fit and normal_fit raise no FitError
-    return np.isfinite(mean) & np.isfinite(var) & (var != 0.0)
 
 
 # the estimators are looked up in this module at call time, where the tests
 # and bench/tracer.py replace them
 _FAMILIES = {
-    "burr": _Family("burr_xii", "positive_axis_min", lambda x: burr_mle(x), _burr_rows,
+    "burr": _Family("burr_xii", "positive_axis_min", lambda x: burr_mle(x),
+                    lambda X, fit: burr_mle_rows(X, fit.params["c"]),
                     lambda p: (0.0, 1.0, {"k": p["k"], "c": p["c"]})),
-    "gamma": _Family("gamma", "positive_axis_min", lambda x: gamma_fit(x), _gamma_rows,
+    "gamma": _Family("gamma", "positive_axis_min", lambda x: gamma_fit(x),
+                     lambda X, fit: gamma_fit_rows(X),
                      lambda p: (0.0, p["lam"], {"k": p["k"], "lam": 1.0})),
-    "normal": _Family("normal", "real_line", lambda x: normal_fit(x), _normal_rows,
+    "normal": _Family("normal", "real_line", lambda x: normal_fit(x),
+                      lambda X, fit: normal_fit_rows(X),
                       lambda p: (p["mu"], np.sqrt(p["sigma2"]), {"mu": 0.0, "sigma2": 1.0})),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -283,9 +256,9 @@ def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
     for first in range(1, B + 1, rows):
         draws = sample_rows(fitted, x.size,
                             [stream(j) for j in range(first, min(first + rows, B + 1))])
-        params, ok = _family(family).fit_rows(draws, fit)
+        *values, ok = _family(family).fit_rows(draws, fit)
         block = replicate_statistics(family, stats, np.sort(draws[ok], axis=1),
-                                     {name: v[ok] for name, v in params.items()})
+                                     {name: v[ok] for name, v in zip(fit.params, values)})
         blocks.append(block[np.all(np.isfinite(block), axis=1)])
     boot = np.concatenate(blocks)
     failed = B - boot.shape[0]

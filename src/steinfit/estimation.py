@@ -1,15 +1,20 @@
 """Parameter estimators backing the bootstrap tests.
 
-* burr_mle_rows -- profile maximum likelihood for the Burr XII (k, c) pair
-                   (scale fixed at 1) of every row of a matrix at once; the k
-                   direction has a closed-form stationary point, leaving a
-                   safeguarded Newton iteration in log c that widens its own
-                   bracket.
-* burr_mle      -- the same estimator on one sample, as its one-row case.
-* gamma_fit     -- method of moments; exactly scale equivariant (lam) and
-                   scale invariant (k).
-* normal_fit    -- sample mean and variance with divisor n.
-* moments_rows  -- the mean and variance of gamma_fit and normal_fit, row-wise.
+Each estimator has a scalar fit, which takes one sample and raises FitError
+on a sample it cannot fit, and a row fit, which takes any matrix and returns
+one array per parameter and the rows it fitted; a row is refused exactly
+where the scalar fit raises FitError (or, for Burr, does not converge).
+
+* burr_mle_rows   -- profile maximum likelihood for the Burr XII (k, c) pair
+                     (scale fixed at 1) of every row at once; the k direction
+                     has a closed-form stationary point, leaving a safeguarded
+                     Newton iteration in log c on one bracket, C_BRACKET.
+* burr_mle        -- the same estimator on one sample, as its one-row case.
+* gamma_fit_rows  -- method of moments; exactly scale equivariant (lam) and
+                     scale invariant (k).
+* normal_fit_rows -- sample mean and variance with divisor n.
+* gamma_fit, normal_fit -- their one-row cases.
+* moments_rows    -- the mean and variance of both moment fits, row-wise.
 """
 
 from __future__ import annotations
@@ -57,14 +62,12 @@ def burr_loglik(x, k: float, c: float) -> float:
     return float(n * math.log(c) + n * math.log(k) + (c - 1) * logx.sum() - (k + 1) * t)
 
 
-# the search bracket for c before any expansion
-C_BRACKET = (1e-3, 1e3)
-# a fit ending this close to its bracket (in log c) is on the edge
+# the search bracket for c
+C_BRACKET = (1e-7, 1e7)
+# a fit ending this close to the bracket's end (in log c) is on the edge
 ROWS_EDGE_TOL = 1e-6
-# a bracket is widened tenfold per side at most this often (to 1e-7..1e7)
-MAX_EXPANSIONS = 4
 ROWS_UTOL = 1e-10  # a row is frozen once its step in log c falls below this
-ROWS_MAXITER = 500  # Newton steps per row, over all its brackets
+ROWS_MAXITER = 500  # Newton steps per row
 
 
 def burr_mle(s) -> FitResult:
@@ -82,9 +85,8 @@ def burr_mle(s) -> FitResult:
     (k_hat,), (c_hat,), (converged,), (steps,) = _burr_newton(x[None], 1.0)
     if not math.isfinite(k_hat):
         raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
-    widest = (C_BRACKET[0] / 10 ** MAX_EXPANSIONS, C_BRACKET[1] * 10 ** MAX_EXPANSIONS)
-    msg = "" if converged else (f"no profile maximum found inside c in [{widest[0]:g}, "
-                                f"{widest[1]:g}] ({steps} Newton steps, c = {c_hat:.6g})")
+    msg = "" if converged else (f"no profile maximum found inside c in [{C_BRACKET[0]:g}, "
+                                f"{C_BRACKET[1]:g}] ({steps} Newton steps, c = {c_hat:.6g})")
     return FitResult(params={"k": float(k_hat), "c": float(c_hat)}, converged=bool(converged),
                      loglik=burr_loglik(x, k_hat, c_hat), iterations=int(steps), message=msg)
 
@@ -92,24 +94,29 @@ def burr_mle(s) -> FitResult:
 def burr_mle_rows(X, c0: float):
     """Burr XII profile maximum likelihood of every row of X at once.
 
-    The rows must be positive, finite and not constant.  A Newton iteration
-    on the profile score in u = log c starts every row at log(c0), keeps a
-    sign bracket inside the row's c-bracket (C_BRACKET at first) and bisects
-    it whenever a Newton step would leave it; a point where every x^c
-    underflows counts as past the maximum.  A row is frozen once its step
-    falls below ROWS_UTOL, so later iterations cannot move it off the root.
-    A row frozen within ROWS_EDGE_TOL of its c-bracket's end has its bracket
-    widened tenfold per side and goes on, at most MAX_EXPANSIONS times.
-    Returns arrays (k, c, converged), k = n / sum log(1 + x^c); a row is not
-    converged when it ends on the edge of its widest bracket, is still
-    moving after ROWS_MAXITER steps, or has k not finite.
+    A Newton iteration on the profile score in u = log c starts every row at
+    log(c0), keeps a sign bracket inside C_BRACKET and bisects it whenever a
+    Newton step would leave it; a point where every x^c underflows counts as
+    past the maximum.  A row is frozen once its step falls below ROWS_UTOL,
+    so later iterations cannot move it off the root.  Returns arrays (k, c,
+    converged), k = n / sum log(1 + x^c); a row is not converged when it
+    ends within ROWS_EDGE_TOL of the bracket's end, is still moving after
+    ROWS_MAXITER steps, or has k not finite.  A row with a value not
+    positive or not finite, or a constant row (burr_mle raises FitError on
+    these), is not converged and has k = c = NaN.
     """
-    return _burr_newton(X, c0)[:3]
+    X = np.asarray(X, dtype=float)
+    ok = np.all(np.isfinite(X) & (X > 0), axis=1)
+    ok[ok] = np.ptp(X[ok], axis=1) > 0
+    k, c = np.full(X.shape[0], math.nan), np.full(X.shape[0], math.nan)
+    k[ok], c[ok], ok[ok], _ = _burr_newton(X[ok], c0)
+    return k, c, ok
 
 
 def _burr_newton(X, c0: float):
-    """burr_mle_rows, with each row's count of Newton steps as a fourth array."""
-    L = np.log(np.asarray(X, dtype=float))
+    """burr_mle_rows on rows it accepts, with each row's count of Newton
+    steps as a fourth array."""
+    L = np.log(X)
     rows, n = L.shape
     # z = cL has the sign of L for every c > 0, so each term's form is fixed:
     # with e = e^-|z| and q = 1/(1 + e), x^c/(1 + x^c) is q where L > 0 and
@@ -119,13 +126,11 @@ def _burr_newton(X, c0: float):
     LL = L * L
     minus_abs_L = -np.abs(L)
     sum_Lp = Lp.sum(axis=1)
-    lo_c, hi_c = (np.full(rows, math.log(b)) for b in C_BRACKET)  # the c-brackets
-    lo, hi = lo_c.copy(), hi_c.copy()  # the sign brackets
+    lo_c, hi_c = (math.log(b) for b in C_BRACKET)
+    lo, hi = np.full(rows, lo_c), np.full(rows, hi_c)  # the sign brackets
     u = np.clip(np.full(rows, math.log(c0)), lo_c, hi_c)
     active = np.ones(rows, dtype=bool)
-    converged = np.zeros(rows, dtype=bool)
     steps = np.zeros(rows, dtype=int)
-    widened = np.zeros(rows, dtype=int)
     # g and dg are nan where t = 0: such a point fails g > 0, so it becomes the
     # upper end of the sign bracket, past the maximum, and is bisected away
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,27 +155,17 @@ def _burr_newton(X, c0: float):
             # a step below ROWS_UTOL is taken even onto the bracket's end (g = 0 there)
             take = ((newton > lo) & (newton < hi)) | (np.abs(newton - u) < ROWS_UTOL)
             new = np.where(take, newton, 0.5 * (lo + hi))
-            stop = active & (np.abs(new - u) < ROWS_UTOL)
+            stop = np.abs(new - u) < ROWS_UTOL
             u = np.where(active, new, u)
             steps += active
-            if not stop.any():
-                continue
-            edge = stop & (np.minimum(u - lo_c, hi_c - u) <= ROWS_EDGE_TOL)
-            converged |= stop & ~edge
             active &= ~stop
-            if edge.any():  # widen such a row's c-bracket and go on
-                widen = edge & (widened < MAX_EXPANSIONS)
-                widened += widen
-                lo_c = lo_c - math.log(10.0) * widen
-                hi_c = hi_c + math.log(10.0) * widen
-                lo, hi = np.where(widen, lo_c, lo), np.where(widen, hi_c, hi)
-                active |= widen
             if not active.any():
                 break
     c = np.exp(u)
     with np.errstate(divide="ignore", over="ignore"):  # k is not finite where t underflows
         k = n / log1p_exp(c[:, None] * L).sum(axis=1)
-    return k, c, converged & np.isfinite(k), steps
+    on_edge = np.minimum(u - lo_c, hi_c - u) <= ROWS_EDGE_TOL
+    return k, c, ~active & ~on_edge & np.isfinite(k), steps
 
 
 # --------------------------------------------------------------------------
@@ -178,33 +173,59 @@ def _burr_newton(X, c0: float):
 # --------------------------------------------------------------------------
 
 def gamma_fit(s) -> FitResult:
-    """Method of moments: k = mean^2/var, lam = var/mean (divisor n).
-
-    lam is exactly scale equivariant and k exactly scale invariant, which is
-    what the gamma characterization test requires of its estimators.
-    """
+    """Method of moments, the one-row case of gamma_fit_rows."""
     x = as_values(s)
     if x.size < 2:
         raise FitError("gamma_fit needs at least 2 observations")
     if np.any(x <= 0):
         raise FitError("gamma_fit needs positive observations")
-    mean, var = _moments(x)
-    k = mean * mean / var
-    lam = var / mean
-    if not (math.isfinite(k) and math.isfinite(lam)):
+    (k,), (lam,), (ok,) = gamma_fit_rows(x[None])
+    if not ok:
+        k, lam = _gamma_params(*_moments(x))  # _moments raises if the moments are at fault
         raise FitError(f"the gamma moment fit overflows (k {k:.6g}, lam {lam:.6g})")
+    k, lam = float(k), float(lam)
     ll = log_likelihood(make_distribution("gamma", k=k, lam=lam), x)
     return FitResult(params={"k": k, "lam": lam}, converged=True, loglik=ll, iterations=0)
 
 
+def gamma_fit_rows(X):
+    """Method of moments on every row of X: arrays (k, lam, ok) with k =
+    mean^2/var and lam = var/mean (divisor n).  lam is exactly scale
+    equivariant and k exactly scale invariant, which is what the gamma
+    characterization test requires of its estimators.  A row with a value
+    not positive, or whose k or lam is not finite (as one is where the
+    moments overflow or the variance is 0), is refused: not ok, k = lam =
+    NaN."""
+    X = np.asarray(X, dtype=float)
+    k, lam = _gamma_params(*moments_rows(X))
+    ok = np.all(X > 0, axis=1) & np.isfinite(k) & np.isfinite(lam)
+    return np.where(ok, k, math.nan), np.where(ok, lam, math.nan), ok
+
+
+def _gamma_params(mean, var):
+    """k = mean^2/var and lam = var/mean, not finite (with no warning) where they overflow."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return mean * mean / var, var / mean
+
+
 def normal_fit(s) -> FitResult:
-    """Sample mean and variance S^2 with divisor n (population form)."""
+    """Sample mean and variance S^2 with divisor n (population form), the
+    one-row case of normal_fit_rows."""
     x = as_values(s)
     if x.size < 2:
         raise FitError("normal_fit needs at least 2 observations")
     mean, var = _moments(x)
     loglik = float(-0.5 * x.size * (math.log(2 * math.pi * var) + 1.0))
     return FitResult(params={"mu": mean, "sigma2": var}, converged=True, loglik=loglik)
+
+
+def normal_fit_rows(X):
+    """Row means and variances (divisor n): arrays (mu, sigma2, ok).  A row
+    whose moments overflow or whose variance is 0 is refused: not ok, mu =
+    sigma2 = NaN."""
+    mean, var = moments_rows(X)
+    ok = np.isfinite(mean) & np.isfinite(var) & (var != 0.0)
+    return np.where(ok, mean, math.nan), np.where(ok, var, math.nan), ok
 
 
 def _moments(x):

@@ -146,6 +146,8 @@ def config_from_dict(doc: dict) -> PowerStudyConfig:
     for i, entry in enumerate(listfield("alternatives")):
         try:
             _check_entry(entry, "family", ("family", "params", "label"))
+            if not isinstance(entry["family"], str):
+                raise ValueError(f"family: expected a string, got {entry['family']!r}")
             params = entry.get("params") or {}
             if not isinstance(params, dict) or not all(map(_is_number, params.values())):
                 raise ValueError(f"params: expected an object of numbers, got {params!r}")

@@ -329,60 +329,6 @@ def test_underflow_parity_cases_do_fail_rows():
             assert least <= failed <= most
 
 
-def test_fit_rows_fallback_equals_fit_family_retry(monkeypatch):
-    import steinfit.bootstrap as bs
-    # rows: an ordinary one; two whose profile rises past c = 1e3, which the
-    # batched fit widens its bracket for, as burr_mle does: it fits the first
-    # at c = 3135 and leaves the near-constant one on the edge of its widest
-    # bracket, c = 1e7; an underflowed draw, an overflowed draw and a
-    # constant row (burr_mle raises FitError).  No row falls back to the
-    # scalar fit.
-    _fit_rows = _FAMILIES["burr"].fit_rows
-    base = burr_data(n=30, k=1.0, c=2.0, seed=41)
-    X = np.array([base, burr_data(n=30, k=1.0, c=3000.0, seed=42), 1.0 + 1e-9 * np.arange(30.0),
-                  np.where(base == base.min(), 0.0, base),
-                  np.where(base == base.max(), np.inf, base), np.full(30, 2.0)])
-    fit = fit_family_retry("burr", base)
-    scalar = bs.fit_family_retry
-
-    def no_fallback(family, x):
-        raise AssertionError("a row fell back to the scalar fit")
-
-    monkeypatch.setattr(bs, "fit_family_retry", no_fallback)
-    params, ok = _fit_rows(X, fit)
-    assert ok.tolist() == [True, True, False, False, False, False]
-    assert params["c"][1] == pytest.approx(3135, rel=1e-3)
-    assert params["c"][2] == pytest.approx(1e7, rel=1e-5)
-    for i in (0, 1, 2):
-        ref = scalar("burr", X[i])
-        assert ref.converged == ok[i]
-        assert params["c"][i] == pytest.approx(ref.params["c"], rel=1e-7)
-        assert params["k"][i] == pytest.approx(ref.params["k"], rel=1e-6)
-    for i in (3, 4, 5):
-        with pytest.raises(FitError):
-            scalar("burr", X[i])
-
-
-def test_moment_row_fits_fail_rows_whose_moments_overflow():
-    # the rows on which gamma_fit and normal_fit raise FitError, without a
-    # RuntimeWarning (an error under this suite's warning filter); the last
-    # row's moments are finite, but its gamma shape mean^2/variance is not
-    rng = np.random.default_rng(9)
-    X = np.array([rng.uniform(1, 2, 30), rng.uniform(1, 2, 30) * 1e300,
-                  rng.uniform(-2, 2, 30) * 1e200, np.full(30, 2.0),
-                  rng.uniform(1, 1.01, 30) * 2e154])
-    for family, expected in (("gamma", [True, False, False, False, False]),
-                             ("normal", [True, False, False, False, True])):
-        ok = _FAMILIES[family].fit_rows(X, None)[1]
-        assert ok.tolist() == expected
-        for x, row_ok in zip(X, expected):
-            if row_ok:
-                _FAMILIES[family].fit(x)
-            else:
-                with pytest.raises(FitError):
-                    _FAMILIES[family].fit(x)
-
-
 @pytest.mark.parametrize("family, bad", [("gamma", 0.0), ("gamma", math.inf),
                                          ("normal", math.inf)])
 def test_l2_column_gives_nan_on_a_refused_row(family, bad):

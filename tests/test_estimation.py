@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from steinfit.estimation import (
     burr_mle_rows,
     burr_profile_k,
     gamma_fit,
+    gamma_fit_rows,
     moments_rows,
     normal_fit,
+    normal_fit_rows,
 )
 
 
@@ -118,11 +121,17 @@ def _neg_profile(x):
     return f
 
 
+# the oracle's first bracket for c, and how often it widens that tenfold per
+# side (to burr_mle's one bracket, 1e-7..1e7)
+BRENT_BRACKET = (1e-3, 1e3)
+BRENT_EXPANSIONS = 4
+
+
 def _brent_mle(s, search=None):
     """Maximizes the profile over log c by bounded Brent search on
-    log(C_BRACKET); the bracket expands tenfold per side, at most
-    MAX_EXPANSIONS times, when the maximizer lands within ROWS_EDGE_TOL of an
-    edge, and an edge hit after the final expansion is reported as
+    log(BRENT_BRACKET); the bracket expands tenfold per side, at most
+    BRENT_EXPANSIONS times, when the maximizer lands within ROWS_EDGE_TOL of
+    an edge, and an edge hit after the final expansion is reported as
     non-convergence.  Raises FitError where burr_mle does."""
     search = search or _bounded_brent
     x = np.asarray(s, dtype=float)
@@ -132,9 +141,9 @@ def _brent_mle(s, search=None):
         raise FitError("burr_mle needs positive, finite observations")
     if np.all(x == x[0]):
         raise FitError("degenerate sample: all observations equal")
-    lo, hi = (math.log(b) for b in estimation.C_BRACKET)
+    lo, hi = (math.log(b) for b in BRENT_BRACKET)
     nfev = 0
-    for _ in range(estimation.MAX_EXPANSIONS + 1):
+    for _ in range(BRENT_EXPANSIONS + 1):
         # a +inf profile makes Brent's parabolic step nan; golden section is taken
         with np.errstate(invalid="ignore"):
             lc_hat, calls, success = search(_neg_profile(x), lo, hi, xatol=1e-10, maxiter=500)
@@ -398,29 +407,67 @@ def test_burr_mle_rows_rows_are_independent_of_the_batch():
         assert (ki[0], ci[0], conv_i[0]) == (k[i], c[i], converged[i])
 
 
-@pytest.mark.parametrize("c_true, bracket, edge", [(3000.0, None, 1e3),
+@pytest.mark.parametrize("c_true, bracket, edge", [(3000.0, (1e-3, 1e3), 1e3),
                                                    (0.03, (0.1, 10.0), 0.1)])
 def test_burr_mle_rows_edge_rows_left_unconverged(c_true, bracket, edge, monkeypatch):
-    # finite positive data cannot put the maximizer below the default
-    # bracket's 1e-3 (that needs |log x| of order 1/c), so the low edge is
-    # checked on a narrowed bracket
-    if bracket is not None:
-        monkeypatch.setattr(estimation, "C_BRACKET", bracket)
+    # finite positive data cannot put the maximizer below 1e-3 (that needs
+    # |log x| of order 1/c), so the low edge is checked on a narrowed bracket
     X = np.array([draw("burr_xii", 80, seed, k=1.0, c=c_true) for seed in range(3)])
-    # with no widening left, rows on the bracket's edge are not converged
+    # on a narrowed bracket, rows on its edge are not converged
     with monkeypatch.context() as m:
-        m.setattr(estimation, "MAX_EXPANSIONS", 0)
+        m.setattr(estimation, "C_BRACKET", bracket)
         _, c, converged = burr_mle_rows(X, 1.0)
     assert not converged.any()
     assert np.allclose(c, edge, rtol=1e-6)
-    # widened, they converge where the Brent oracle does
+    # on the default bracket they converge where the Brent oracle does
     _, c, converged = burr_mle_rows(X, 1.0)
     assert converged.all()
-    lo, hi = estimation.C_BRACKET
     for x, c_row in zip(X, c):
         ref = _brent_mle(x)
-        assert ref.converged and not lo < ref.params["c"] < hi
+        assert ref.converged and not bracket[0] < ref.params["c"] < bracket[1]
         assert c_row == pytest.approx(ref.params["c"], rel=1e-7)
+
+
+def _any_rows():
+    """Rows a row fit must take: ordinary draws; a Burr maximizer past c =
+    1e3 and a near-constant row whose maximizer lies past 1e7; a 0, a
+    negative value, inf, -inf or nan; a constant row; moments that overflow
+    (mean, variance), and finite moments with a gamma shape that overflows."""
+    base = draw("burr_xii", 30, 41, k=1.0, c=2.0)
+    rng = np.random.default_rng(9)
+    bad = [np.where(base == base.max(), v, base)
+           for v in (0.0, -1.0, math.inf, -math.inf, math.nan)]
+    return np.array([base, draw("burr_xii", 30, 42, k=1.0, c=3000.0), 1.0 + 1e-9 * np.arange(30.0),
+                     *bad, np.full(30, 2.0), rng.uniform(1, 2, 30) * 1e300,
+                     rng.uniform(-2, 2, 30) * 1e200, rng.uniform(1, 1.01, 30) * 2e154,
+                     rng.uniform(-2, 2, 30)])
+
+
+@pytest.mark.parametrize("rows, scalar, fitted", [
+    (lambda X: burr_mle_rows(X, 1.0), burr_mle, [0, 1, 9, 11]),
+    (gamma_fit_rows, gamma_fit, [0, 1, 2]),
+    (normal_fit_rows, normal_fit, [0, 1, 2, 3, 4, 11, 12]),
+], ids=["burr", "gamma", "normal"])
+def test_row_fits_refuse_exactly_the_rows_their_scalar_fit_does(rows, scalar, fitted):
+    # a row is refused where the scalar fit raises FitError, with NaN
+    # parameters, or does not converge; every other row has the scalar
+    # fit's parameters and those of its one-row fit, bit for bit; no
+    # RuntimeWarning is raised
+    X = _any_rows()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *params, ok = rows(X)
+        assert np.flatnonzero(ok).tolist() == fitted
+        for i, x in enumerate(X):
+            try:
+                fit = scalar(x)
+            except FitError:
+                assert not ok[i] and np.isnan([p[i] for p in params]).all()
+                continue
+            assert ok[i] == fit.converged
+            assert [p[i] for p in params] == list(fit.params.values())
+            *one, _ = rows(X[i:i + 1])
+            assert [p[0] for p in one] == list(fit.params.values())
 
 
 def test_moments_rows_bit_identical_to_fits():
@@ -443,16 +490,18 @@ def test_one_sample_moments_are_the_one_row_case_bit_for_bit():
         assert estimation._moments(x) == (mean, float(np.mean((x - mean) ** 2)))
 
 
-def test_burr_mle_widens_its_bracket_past_an_edge():
-    # the profile still rises at c = 1e3: the fit ends on the bracket's
-    # edge, which the edge rule must catch and widen
+def test_burr_mle_fits_a_maximizer_past_c_1e3():
+    # the profile still rises at c = 1e3, the end of the Brent oracle's
+    # first bracket; the Newton iteration starts on the whole bracket and
+    # reaches the maximizer in a few steps
     x = draw("burr_xii", 80, 42, k=1.0, c=3000.0)
     fit = burr_mle(x)
     assert fit.converged
-    assert fit.params["c"] == pytest.approx(3330, rel=1e-3)
+    assert fit.params["c"] == pytest.approx(3330.282254289956, rel=1e-12)
+    assert fit.iterations <= 10
     assert fit.loglik == pytest.approx(489.19, abs=5e-3)
     assert fit.loglik > _profile(x, math.log(1e3)) + 1.0
-    # the widest bracket is 1e-7..1e7; a maximizer past it is reported
+    # the bracket is 1e-7..1e7; a maximizer past it is reported
     edge = burr_mle(1.0 + 1e-9 * np.arange(30.0))
     assert not edge.converged
     assert edge.params["c"] == pytest.approx(1e7, rel=1e-5)

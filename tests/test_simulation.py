@@ -289,8 +289,12 @@ def test_config_rejects_B_under_another_family(tmp_path, capsys, family):
     ([GOOD_DOC], "config: expected a JSON object, got list"),
     (dict(GOOD_DOC, statistics=[{"stat": ["B"]}]),
      "statistics[0]: unknown statistic tag ['B']; valid tags: B, L2, ad, cvm, ks, watson"),
+    (dict(GOOD_DOC, alternatives=[{"family": ["gamma"]}]),
+     "alternatives[0]: family: expected a string, got ['gamma']"),
+    (dict(GOOD_DOC, alternatives=[{"family": {"name": "gamma"}}]),
+     "alternatives[0]: family: expected a string, got {'name': 'gamma'}"),
 ], ids=["int-statistics", "int-alternatives", "object-statistics", "top-level-array",
-        "list-stat-name"])
+        "list-stat-name", "list-family", "object-family"])
 def test_malformed_config_is_a_schema_error(tmp_path, capsys, doc, problem):
     # a config of the wrong JSON types is named field by field, exit 2, and
     # never ends in a traceback
