@@ -28,7 +28,9 @@ stderr, and the corpus goes on.
 
 The script prints the share of byte-identical outputs (exit code, stdout,
 stderr, and every report file but the ``wall_time_s`` line), the worst
-relative change of ``statistic_value`` and ``critical_value``, and every run
+relative change of ``statistic_value`` and ``critical_value`` (and, when a
+run's ``fit`` changed, of each fitted parameter and ``loglik`` over the
+changed fits), and every run
 whose exit code, stderr, warnings, ``fit``, ``p_value``, ``reject``,
 ``effective_B`` or ``failed_replicates`` changed, or whose simulate report
 changed.  Of a ``verify`` run it prints each field that moved, by its dotted
@@ -239,8 +241,15 @@ def compare(corpus, old, new):
     """Print the comparison; return True when nothing beyond ``RTOL`` moved."""
     groups = {}  # group -> [byte-identical runs, runs]
     codes = {}  # exit code -> runs, on the new side
+    # field -> (worst relative change, label): CLOSE_FIELDS, and each number
+    # of a changed fit by its dotted path
     worst = dict.fromkeys(CLOSE_FIELDS, (0.0, None))
     changed = []
+
+    def note(key, r, label):
+        if r > worst.setdefault(key, (0.0, None))[0]:
+            worst[key] = (r, label)
+
     for run, o, w in zip(corpus, old, new):
         label = run["label"]
         tally = groups.setdefault(run["group"], [0, 0])
@@ -268,11 +277,14 @@ def compare(corpus, old, new):
             continue
         for key in sorted(set(od) | set(wd)):
             if key in CLOSE_FIELDS:
-                r = rel_change(od.get(key), wd.get(key))
-                if r > worst[key][0]:
-                    worst[key] = (r, label)
+                note(key, rel_change(od.get(key), wd.get(key)), label)
             elif od.get(key) != wd.get(key):
                 changed.append(f"{label}: {key} {od.get(key)!r} -> {wd.get(key)!r}")
+                if key == "fit":
+                    ol, wl = leaves(od[key], key), leaves(wd[key], key)
+                    for name in sorted(ol.keys() & wl.keys()):
+                        if name == "fit.loglik" or name.startswith("fit.params."):
+                            note(name, rel_change(ol[name], wl[name]), label)
     identical = sum(same for same, _ in groups.values())
     print(f"runs: {len(corpus)}, exit codes {dict(sorted(codes.items(), key=str))}")
     print(f"byte-identical: {identical}/{len(corpus)} ({100.0 * identical / len(corpus):.1f}%)")

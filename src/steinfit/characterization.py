@@ -112,7 +112,7 @@ def default_operator(dist: DistributionSpec, strict: bool = True) -> OperatorKin
 # Quadrature plumbing
 # --------------------------------------------------------------------------
 
-def _quad(f, a, b, breakpoints=(), quad_tol=1e-9, limit=200):
+def _quad(f, a, b, breakpoints=(), quad_tol=1e-9):
     """Adaptive quadrature over (a, b) split at interior breakpoints.
 
     Splitting isolates the kinks (min/max at t, score knots) so each piece is
@@ -131,7 +131,7 @@ def _quad(f, a, b, breakpoints=(), quad_tol=1e-9, limit=200):
         _warnings.simplefilter("ignore", integrate.IntegrationWarning)
         for lo, hi in zip(edges[:-1], edges[1:]):
             val, abserr = integrate.quad(f, lo, hi, epsabs=quad_tol / max(1, len(edges) - 1),
-                                         epsrel=1e-11, limit=limit)
+                                         epsrel=1e-11, limit=200)
             total += val
             err += abserr
     if err > max(quad_tol, 1e-13 * abs(total)) * 50:
@@ -160,12 +160,8 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
     under a different data law; away from the fixed point the result differs
     from that law's CDF.  The returned value is always on the CDF scale.
     """
-    if kind is None:
-        kind = default_operator(dist)
-    law = under if under is not None else dist
-    a, b = law.support.left, law.support.right
+    kind, law, a, b, weighted = _operator_setup(dist, kind, under)
     brk = [t] + _knots(dist, law)
-    weighted = _weighted_score(dist, law)
 
     if kind.variant == "real_line":
         return _quad(lambda x: weighted(x, t - x), a, min(t, b), brk, quad_tol)
@@ -174,8 +170,6 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
         L = kind.lower
         val = _quad(lambda x: weighted(x, -(min(x, t) - L)), a, b, brk, quad_tol)
         if kind.variant == "bounded_right_limit":
-            if kind.boundary_density_limit is None:
-                raise DomainError("bounded_right_limit operator needs a finite endpoint density limit")
             val += (t - L) * kind.boundary_density_limit
         return val
 
@@ -183,10 +177,21 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
     R = kind.right
     val = _quad(lambda x: weighted(x, R - max(x, t)), a, b, brk, quad_tol)
     if kind.variant == "bounded_left_limit":
-        if kind.boundary_density_limit is None:
-            raise DomainError("bounded_left_limit operator needs a finite endpoint density limit")
         val += (R - t) * kind.boundary_density_limit
     return 1.0 - val
+
+
+def _operator_setup(dist, kind, under):
+    """exact_T's and density_identity's operator (dist's default when None),
+    data law, its support's ends and weighted score; DomainError for a
+    bounded operator without the endpoint density limit its identity adds."""
+    if kind is None:
+        kind = default_operator(dist)
+    if kind.variant in ("bounded_right_limit", "bounded_left_limit") \
+            and kind.boundary_density_limit is None:
+        raise DomainError(f"{kind.variant} operator needs a finite endpoint density limit")
+    law = under if under is not None else dist
+    return kind, law, law.support.left, law.support.right, _weighted_score(dist, law)
 
 
 def _weighted_score(dist, law):
@@ -207,12 +212,8 @@ def density_identity(dist: DistributionSpec, t: float, kind: OperatorKind | None
 
     Under dist's own law this equals pdf(dist, t) within quadrature error.
     """
-    if kind is None:
-        kind = default_operator(dist)
-    law = under if under is not None else dist
-    a, b = law.support.left, law.support.right
+    kind, law, a, b, weighted = _operator_setup(dist, kind, under)
     brk = _knots(dist, law)
-    weighted = _weighted_score(dist, law)
 
     if kind.variant in ("real_line", "upper_bounded_max"):
         return _quad(lambda x: weighted(x, 1.0), a, min(t, b), brk, quad_tol)
@@ -336,11 +337,11 @@ def _tail_ratio(dist, x, lower):
     return val if lower else -val
 
 
-def _ftp_derivative_fd(dist, t, x, h0=1e-5):
+def _ftp_derivative_fd(dist, t, x):
     """Central finite difference of the test function, step shrunk so the
     stencil never crosses t, a knot, or a support endpoint."""
     sup = dist.support
-    h = h0 * max(1.0, abs(x))
+    h = 1e-5 * max(1.0, abs(x))
     h = min(h, 0.49 * abs(x - t))
     if sup.bounded_below:
         h = min(h, 0.49 * (x - sup.left))

@@ -37,16 +37,16 @@ EXIT_NUMERICAL = 3
 # JSON with 17-significant-digit floats
 # --------------------------------------------------------------------------
 
-def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON: floats via '%.17g', non-finite floats as strings."""
+def dumps(obj) -> str:
+    """Deterministic JSON, indented by 2: floats via '%.17g', non-finite floats as strings."""
     out = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _write(obj, out, level):
+    pad = "  " * level
+    pad_in = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -54,7 +54,7 @@ def _write(obj, out, indent, level):
         out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
             out.append(f'{pad_in}{json.dumps(str(key))}: ')
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -64,7 +64,7 @@ def _write(obj, out, indent, level):
         out.append("[\n")
         for i, val in enumerate(obj):
             out.append(pad_in)
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):

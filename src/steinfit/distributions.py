@@ -263,8 +263,10 @@ def _gamma_draw(p, u):
     """Gamma(k, lam) variates at uniforms u.  Below k = 0.05 or so the
     smallest standard variates underflow to 0 or a subnormal, and for lam < 1
     so do the scaled ones, where the score (k-1)/x overflows: both are
-    floored at _TINY, which leaves every variate above it as it was."""
-    return np.maximum(p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY), _TINY)
+    floored at _TINY, which leaves every variate above it as it was.  Where
+    the scaled variate overflows (k and lam near 1e308) it is inf."""
+    with np.errstate(over="ignore"):
+        return np.maximum(p["lam"] * np.maximum(sp.gammaincinv(p["k"], u), _TINY), _TINY)
 
 
 _register(
@@ -343,11 +345,21 @@ _register(
 )
 
 
-def _burr_score(p, x):
-    k, c, sigma = p["k"], p["c"], p["sigma"]
-    # x^(c-1)/(sigma^c + x^c) written through the logistic sigmoid for stability
-    ratio = logistic(c * np.log(np.asarray(x, dtype=float) / sigma))  # y^c/(1+y^c)
-    return (c - 1) / x - c * (k + 1) * ratio / x
+def burr_coefficients(x, k, c):
+    """Per-observation operator coefficients of Burr XII(k, c) at scale 1:
+
+        A1_j = c(k+1) x^(c-1)/(1+x^c) - (c-1)/x      (score, negated)
+        A2_j = -c(k+1) x^c/(1+x^c)
+
+    computed through the logistic sigmoid of c*log(x) so large powers never
+    overflow.  They satisfy x*A1 = -A2 - (c-1) identically.  A1 is the one
+    Burr score formula: the record's score at scale sigma is -A1(x/sigma)/sigma.
+    """
+    x = np.asarray(x, dtype=float)
+    ratio = logistic(c * np.log(x))  # x^c / (1 + x^c)
+    A2 = -c * (k + 1.0) * ratio
+    A1 = (-A2 - (c - 1.0)) / x
+    return A1, A2
 
 
 def _burr_quantile(p, u):
@@ -366,7 +378,7 @@ _register(
     cdf=lambda p, x: -np.expm1(-p["k"] * log1p_exp(p["c"] * np.log(x / p["sigma"]))),
     sf=lambda p, x: np.exp(-p["k"] * log1p_exp(p["c"] * np.log(x / p["sigma"]))),
     quantile=_burr_quantile,
-    score=_burr_score,
+    score=lambda p, x: -burr_coefficients(x / p["sigma"], p["k"], p["c"])[0] / p["sigma"],
 )
 
 _register(
@@ -497,19 +509,19 @@ _register(
     score=lambda p, x: -(p["theta"] + 1) / x + p["theta"] * x ** -(p["theta"] + 1),
 )
 
+# gamma translated to (mu, inf): the gamma record's formulas at x - mu
 _register(
     "shifted_gamma", ("k", "lam", "mu"),
     support=lambda p: Support(p["mu"], _INF),
     positive=("k", "lam"),
-    logpdf=lambda p, x: ((p["k"] - 1) * np.log(x - p["mu"]) - (x - p["mu"]) / p["lam"]
-                         - p["k"] * math.log(p["lam"]) - math.lgamma(p["k"])),
-    cdf=lambda p, x: sp.gammainc(p["k"], (x - p["mu"]) / p["lam"]),
-    sf=lambda p, x: sp.gammaincc(p["k"], (x - p["mu"]) / p["lam"]),
-    quantile=lambda p, u: p["mu"] + p["lam"] * sp.gammaincinv(p["k"], u),
+    logpdf=lambda p, x: _REGISTRY["gamma"].logpdf(p, x - p["mu"]),
+    cdf=lambda p, x: _REGISTRY["gamma"].cdf(p, x - p["mu"]),
+    sf=lambda p, x: _REGISTRY["gamma"].sf(p, x - p["mu"]),
+    quantile=lambda p, u: p["mu"] + _REGISTRY["gamma"].quantile(p, u),
     # the sum is floored at the next double above mu, which it rounds to when
     # the gamma draw is below half an ulp of mu
     draw=lambda p, u: np.maximum(p["mu"] + _gamma_draw(p, u), np.nextafter(p["mu"], _INF)),
-    score=lambda p, x: (p["k"] - 1) / (x - p["mu"]) - 1.0 / p["lam"],
+    score=lambda p, x: _REGISTRY["gamma"].score(p, x - p["mu"]),
 )
 
 

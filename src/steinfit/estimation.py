@@ -15,6 +15,9 @@ where the scalar fit raises FitError (or, for Burr, does not converge).
 * normal_fit_rows -- sample mean and variance with divisor n.
 * gamma_fit, normal_fit -- their one-row cases.
 * moments_rows    -- the mean and variance of both moment fits, row-wise.
+
+A scalar fit's ``loglik`` is the catalog log-likelihood of the fitted law,
+distributions.log_likelihood, for every family.
 """
 
 from __future__ import annotations
@@ -54,14 +57,6 @@ def burr_profile_k(x, c: float) -> float:
     return float(len(logx) / log1p_exp(c * logx).sum())
 
 
-def burr_loglik(x, k: float, c: float) -> float:
-    """l(k, c) = n log c + n log k + (c-1) sum log x - (k+1) sum log(1+x^c)."""
-    logx = np.log(as_values(x))
-    n = logx.size
-    t = log1p_exp(c * logx).sum()
-    return float(n * math.log(c) + n * math.log(k) + (c - 1) * logx.sum() - (k + 1) * t)
-
-
 # the search bracket for c
 C_BRACKET = (1e-7, 1e7)
 # a fit ending this close to the bracket's end (in log c) is on the edge
@@ -87,8 +82,9 @@ def burr_mle(s) -> FitResult:
         raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
     msg = "" if converged else (f"no profile maximum found inside c in [{C_BRACKET[0]:g}, "
                                 f"{C_BRACKET[1]:g}] ({steps} Newton steps, c = {c_hat:.6g})")
+    ll = log_likelihood(make_distribution("burr_xii", k=k_hat, c=c_hat), x)
     return FitResult(params={"k": float(k_hat), "c": float(c_hat)}, converged=bool(converged),
-                     loglik=burr_loglik(x, k_hat, c_hat), iterations=int(steps), message=msg)
+                     loglik=ll, iterations=int(steps), message=msg)
 
 
 def burr_mle_rows(X, c0: float):
@@ -215,8 +211,8 @@ def normal_fit(s) -> FitResult:
     if x.size < 2:
         raise FitError("normal_fit needs at least 2 observations")
     mean, var = _moments(x)
-    loglik = float(-0.5 * x.size * (math.log(2 * math.pi * var) + 1.0))
-    return FitResult(params={"mu": mean, "sigma2": var}, converged=True, loglik=loglik)
+    ll = log_likelihood(make_distribution("normal", mu=mean, sigma2=var), x)
+    return FitResult(params={"mu": mean, "sigma2": var}, converged=True, loglik=ll)
 
 
 def normal_fit_rows(X):

@@ -14,7 +14,9 @@ B_{n,a}, the weighted-L2 integral and the EDF statistics each have one
 implementation, a kernel over the rows of a matrix of samples (burr_B_rows,
 generic_L2_rows with min_pieces_rows and real_line_pieces_rows, edf_rows);
 burr_B_closed, generic_L2 with min_pieces and real_line_pieces, and
-ks/cvm/ad/watson are its one-row case.
+ks/cvm/ad/watson are its one-row case.  The Burr operator's coefficients
+come from distributions.burr_coefficients, the catalog's one Burr score
+formula, so B_{n,a} and the Burr L2 statistic score with the record.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import as_values, logistic
+from .distributions import as_values, burr_coefficients
 
 
 @dataclass(frozen=True)
@@ -93,22 +95,6 @@ def _weight_ok(a) -> bool:
 # --------------------------------------------------------------------------
 # Burr Type XII characterization statistic
 # --------------------------------------------------------------------------
-
-def burr_coefficients(x, k_hat: float, c_hat: float):
-    """Per-observation operator coefficients for the Burr family:
-
-        A1_j = c(k+1) x^(c-1)/(1+x^c) - (c-1)/x      (score, negated)
-        A2_j = -c(k+1) x^c/(1+x^c)
-
-    computed through the logistic sigmoid of c*log(x) so large powers never
-    overflow.  They satisfy x*A1 = -A2 - (c-1) identically.
-    """
-    x = np.asarray(x, dtype=float)
-    ratio = logistic(c_hat * np.log(x))  # x^c / (1 + x^c)
-    A2 = -c_hat * (k_hat + 1.0) * ratio
-    A1 = (-A2 - (c_hat - 1.0)) / x
-    return A1, A2
-
 
 def burr_B_closed(s, k_hat: float, c_hat: float, a: float) -> float:
     """Closed-form evaluation of the Burr statistic B_{n,a}: the one-row

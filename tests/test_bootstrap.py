@@ -429,5 +429,6 @@ def test_burr_l2_through_the_table_equals_the_quadrature_oracle():
         fit = fit_family_retry("burr", x)
         for a in (0.25, 1.0, 3.0):
             got = evaluate_statistic("burr", StatisticId("generic_L2", a=a), x, fit)
-            assert got == pytest.approx(
-                burr_B_quadrature(x, fit.params["k"], fit.params["c"], a), rel=1e-12)
+            # the table scores with the catalog record, whose Burr score is
+            # -burr_coefficients: the same pieces as the oracle's
+            assert got == burr_B_quadrature(x, fit.params["k"], fit.params["c"], a)

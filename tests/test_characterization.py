@@ -128,6 +128,17 @@ def test_fixed_point_of_the_max_type_bounded_operators():
     assert fixed_point_residual(beta23, kind) < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["bounded_right_limit", "bounded_left_limit"])
+@pytest.mark.parametrize("identity", [exact_T, density_identity])
+def test_bounded_operator_without_its_endpoint_limit_is_a_domain_error(variant, identity):
+    # both identities carry the endpoint density limit; built without it, the
+    # operator is refused the same way by each
+    kind = OperatorKind(variant, left=0.0, right=1.0)
+    beta23 = make_distribution("beta", alpha=2.0, beta=3.0)
+    with pytest.raises(DomainError, match=f"{variant} operator needs a finite endpoint density"):
+        identity(beta23, t=0.3, kind=kind)
+
+
 def test_mismatched_law_residual():
     # operator of Exp(1) evaluated under Exp(2) data: E[min{X,t}] = (1-e^{-2t})/2
     val = exact_T(EXP1, None, 1.0, under=EXP2)

@@ -13,6 +13,7 @@ from steinfit.distributions import (
     ParameterError,
     RngStream,
     boundary_density_limit,
+    burr_coefficients,
     cdf,
     log_likelihood,
     log1p_exp,
@@ -189,6 +190,44 @@ def test_burr_score_bound():
         x = quantile(dist, np.linspace(1e-6, 1 - 1e-6, 2001))
         bound = abs(c - 1) + c * (k + 1)
         assert np.all(np.abs(score(dist, x) * x) <= bound * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+def test_burr_score_is_the_negated_coefficient(sigma):
+    # the record's score is -A1(x/sigma)/sigma, one formula with the
+    # statistics' coefficients, and it is the derivative of the log-density
+    dist = _dist("burr_xii", dict(k=1.7, c=2.3, sigma=sigma))
+    x = quantile(dist, np.random.default_rng(8).uniform(0.01, 0.99, 1000))
+    got = score(dist, x)
+    assert np.array_equal(got, -burr_coefficients(x / sigma, 1.7, 2.3)[0] / sigma)
+    h = 1e-6 * np.maximum(1.0, x)
+    fd = (logpdf(dist, x + h) - logpdf(dist, x - h)) / (2 * h)
+    np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6 / sigma)
+
+
+@pytest.mark.parametrize("k, lam, mu", [(2.0, 1.5, 1.0), (0.5, 1.0, -3.0), (7.3, 0.2, 1e3),
+                                      (0.0109, 4.0, 0.0)])
+def test_shifted_gamma_is_gamma_at_x_minus_mu(k, lam, mu):
+    # every formula of the shifted record is the gamma record's at x - mu,
+    # to the bit, and the quantile is mu plus gamma's
+    shifted = _dist("shifted_gamma", dict(k=k, lam=lam, mu=mu))
+    gamma = _dist("gamma", dict(k=k, lam=lam))
+    u = np.random.default_rng(9).uniform(0.001, 0.999, 500)
+    x = quantile(shifted, u)
+    x = x[x > mu]
+    for fn in (logpdf, cdf, sf, score):
+        assert np.array_equal(fn(shifted, x), fn(gamma, x - mu)), fn.__name__
+    assert np.array_equal(quantile(shifted, u), mu + quantile(gamma, u))
+
+
+def test_gamma_draws_at_huge_parameters_overflow_silently():
+    # at k = lam = 1e308 the scaled variate lam * gammaincinv(k, u) overflows:
+    # the draw is inf, without a RuntimeWarning
+    dist = _dist("gamma", dict(k=1e308, lam=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sample_rows(dist, 10, [RngStream(2).child("boot", b) for b in range(3)])
+    assert np.isposinf(got).all()
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from steinfit import estimation
-from steinfit.distributions import RngStream, make_distribution, sample
+from steinfit.distributions import RngStream, log_likelihood, make_distribution, sample
 from steinfit.estimation import (
     FitError,
     FitResult,
-    burr_loglik,
     burr_mle,
     burr_mle_rows,
     burr_profile_k,
@@ -27,6 +26,11 @@ from steinfit.estimation import (
 
 def draw(family, n, seed, **kw):
     return sample(make_distribution(family, **kw), n, RngStream(seed))
+
+
+def burr_loglik(x, k, c):
+    """The catalog log-likelihood of Burr XII(k, c) at scale 1."""
+    return log_likelihood(make_distribution("burr_xii", k=k, c=c), x)
 
 
 # --------------------------------------------------------------------------
@@ -552,11 +556,21 @@ def test_burr_mle_scale_sensitive():
     assert abs(f1.params["k"] - f2.params["k"]) + abs(f1.params["c"] - f2.params["c"]) > 1e-3
 
 
-def test_burr_loglik_matches_catalog():
-    from steinfit.distributions import log_likelihood
-    x = draw("burr_xii", 50, 6, k=1.3, c=0.8)
-    dist = make_distribution("burr_xii", k=1.3, c=0.8)
-    assert burr_loglik(x, 1.3, 0.8) == pytest.approx(log_likelihood(dist, x), rel=1e-12)
+@pytest.mark.parametrize("law", ["burr_xii", "gamma", "normal"])
+def test_fit_loglik_is_the_catalog_loglik(law):
+    # every scalar fit reports the catalog log-likelihood of its fitted law
+    fit = {"burr_xii": burr_mle, "gamma": gamma_fit, "normal": normal_fit}[law]
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        n = int(rng.integers(2, 120))
+        if law == "normal":
+            x = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 10), n)
+        elif law == "burr_xii":
+            x = draw("burr_xii", n, i, k=rng.uniform(0.3, 4), c=rng.uniform(0.3, 4))
+        else:
+            x = rng.lognormal(rng.uniform(-2, 2), rng.uniform(0.05, 3), n)
+        result = fit(x)
+        assert result.loglik == log_likelihood(make_distribution(law, **result.params), x), i
 
 
 # --------------------------------------------------------------------------

@@ -319,6 +319,40 @@ def test_validate_rejects_an_unknown_family():
         config_from_dict(dict(GOOD_DOC, family="weibull"))
 
 
+def test_config_rejects_alternatives_with_one_label(tmp_path, capsys):
+    # a report cell is keyed by the alternative's label too
+    doc = dict(GOOD_DOC, alternatives=[
+        {"family": "burr_xii", "params": {"k": 1, "c": 1}, "label": "A"},
+        {"family": "weibull", "params": {"k": 0.5, "lam": 1}, "label": "A"}])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: alternatives: labels must be unique\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_power_study_validates_its_config():
+    # a config built in code, not read from JSON, is validated before any draw
+    with pytest.raises(ConfigError) as err:
+        run_power_study(small_config(n=1, mc_reps=0))
+    assert err.value.problems == ["n: must be >= 2", "mc_reps: must be >= 1"]
+
+
+def test_simulate_with_gamma_draws_that_overflow(tmp_path, capsys):
+    # at k = lam = 1e308 every gamma draw overflows to inf, without a
+    # RuntimeWarning: each replicate's fit fails and the cell is aborted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(GOOD_DOC, alternatives=[
+        {"family": "gamma", "params": {"k": 1e308, "lam": 1e308}}])))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--threads", "1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    cells = json.loads((tmp_path / "out" / "report.json").read_text())["cells"]
+    assert [(c["reps"], c["failures"], c["aborted"]) for c in cells] == [(0, 2, True)] * 2
+
+
 def test_config_json_serializable():
     cfg = config_from_dict(GOOD_DOC)
     from steinfit.simulation import config_to_dict
