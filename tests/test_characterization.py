@@ -139,6 +139,39 @@ def test_bounded_operator_without_its_endpoint_limit_is_a_domain_error(variant, 
         identity(beta23, t=0.3, kind=kind)
 
 
+BETA23 = make_distribution("beta", alpha=2.0, beta=3.0)
+
+# one law per characterization identity, with the verdicts that identity requires
+IDENTITY_ROWS = [
+    (make_distribution("normal", mu=0.0, sigma2=1.0), None, "real_line", {"c2", "c3"}),
+    (EXP1, None, "positive_axis_min", {"c2", "c3", "c4"}),
+    (make_distribution("shifted_gamma", k=2.0, lam=1.0, mu=1.0), None, "lower_bounded_min",
+     {"c2", "c3", "c4"}),
+    (BETA23, OperatorKind("upper_bounded_max", right=1.0), "upper_bounded_max",
+     {"c2", "c3", "c5"}),
+    (BETA23, None, "bounded_right_limit", {"c2", "c3", "c4", "c5", "boundary"}),
+    (make_distribution("beta", alpha=1.0, beta=2.0),
+     OperatorKind("bounded_left_limit", left=0.0, right=1.0, boundary_density_limit=2.0),
+     "bounded_left_limit", {"c2", "c3", "c4", "c5", "boundary"}),
+]
+
+
+@pytest.mark.parametrize("dist,kind,variant,required", IDENTITY_ROWS,
+                         ids=[row[2] for row in IDENTITY_ROWS])
+def test_every_identity_reproduces_its_law(dist, kind, variant, required):
+    assert (kind or default_operator(dist)).variant == variant
+    for u in (0.1, 0.3, 0.5, 0.7, 0.9):
+        t = float(quantile(dist, u))
+        assert exact_T(dist, kind, t) == pytest.approx(cdf(dist, t), abs=1e-9)
+        assert density_identity(dist, t, kind) == pytest.approx(pdf(dist, t), abs=1e-9)
+    rep = check_conditions(dist, kind=kind)
+    assert rep.variant == variant
+    assert list(rep.verdicts) == ["c2", "c3", "c4", "c5", "boundary"]
+    assert {c for c, v in rep.verdicts.items() if v != "not_applicable"} == required
+    assert all(rep.verdicts[c] == "pass" for c in required)
+    assert rep.supported
+
+
 def test_mismatched_law_residual():
     # operator of Exp(1) evaluated under Exp(2) data: E[min{X,t}] = (1-e^{-2t})/2
     val = exact_T(EXP1, None, 1.0, under=EXP2)
@@ -254,10 +287,37 @@ def test_condition_report_serializes():
     json.dumps(doc)
 
 
-def test_operator_kind_validation():
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("variant,needs", [
+    ("real_line", ()),
+    ("positive_axis_min", ()),
+    ("lower_bounded_min", ("left",)),
+    ("upper_bounded_max", ("right",)),
+    ("bounded_right_limit", ("left", "right")),
+    ("bounded_left_limit", ("left", "right")),
+])
+def test_operator_kind_validation(variant, needs):
+    full = dict(left=0.0, right=1.0)
+    assert OperatorKind(variant, **full).variant == variant
+    assert OperatorKind(variant, **{side: full[side] for side in needs}).variant == variant
+    for side in needs:
+        other = {s: v for s, v in full.items() if s != side}
+        with pytest.raises(ValueError, match=f"variant '{variant}' requires a {side} boundary"):
+            OperatorKind(variant, **other)
+    with pytest.raises(ValueError, match="boundary_density_limit must be >= 0"):
+        OperatorKind(variant, **full, boundary_density_limit=-1.0)
+
+
+def test_operator_kind_refusals():
+    with pytest.raises(ValueError, match="unknown operator variant 'nosuch'"):
         OperatorKind("nosuch")
-    with pytest.raises(ValueError):
-        OperatorKind("lower_bounded_min")  # missing left
     with pytest.raises(DomainError):
         default_operator(make_distribution("beta", alpha=0.5, beta=0.5))
+
+
+def test_required_conditions_come_from_the_variant_not_the_boundaries_passed():
+    # a right boundary on the positive-axis operator adds no condition: the
+    # min-type identity needs c4 only, so Exp(1) stays supported
+    rep = check_conditions(EXP1, kind=OperatorKind("positive_axis_min", right=5.0))
+    assert rep.verdicts["c5"] == "not_applicable"
+    assert rep.verdicts["boundary"] == "not_applicable"
+    assert rep.supported
