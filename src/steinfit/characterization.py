@@ -9,14 +9,17 @@ of an operator that maps a law to (an expression built from) its own CDF:
 * bounded, right limit: F(t) = E[ -s(X) (min{X, t} - L) ] + (t - L) lim_{x->R} p(x)
 * bounded, left limit:  1 - F(t) = E[ s(X) (R - max{X, t}) ] + (R - t) lim_{x->L} p(x)
 
-This module evaluates the operators exactly (adaptive quadrature against an
-arbitrary data law), empirically (sample averages), and provides numeric
-evidence for the regularity conditions the identities require.
+Each operator variant is one record of the table ``_IDENTITIES``, which
+every function here reads.  This module evaluates the operators exactly
+(adaptive quadrature against an arbitrary data law), empirically (sample
+averages), and provides numeric evidence for the regularity conditions the
+identities require.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +36,22 @@ from .distributions import (
     sf,
 )
 
-VARIANTS = (
-    "real_line",
-    "positive_axis_min",
-    "lower_bounded_min",
-    "upper_bounded_max",
-    "bounded_right_limit",
-    "bounded_left_limit",
-)
+# One record per characterization identity.  form: "line" and "min" give
+# F(t), "max" gives 1 - F(t); needs: the boundaries its OperatorKind must
+# carry; limit_at: the endpoint whose density limit it adds; requires: the
+# verdicts that count toward ConditionReport.supported.
+_Identity = namedtuple("_Identity", "form needs limit_at requires")
+_IDENTITIES = {
+    "real_line": _Identity("line", (), None, ("c2", "c3")),
+    "positive_axis_min": _Identity("min", (), None, ("c2", "c3", "c4")),
+    "lower_bounded_min": _Identity("min", ("left",), None, ("c2", "c3", "c4")),
+    "upper_bounded_max": _Identity("max", ("right",), None, ("c2", "c3", "c5")),
+    "bounded_right_limit": _Identity("min", ("left", "right"), "right",
+                                     ("c2", "c3", "c4", "c5", "boundary")),
+    "bounded_left_limit": _Identity("max", ("left", "right"), "left",
+                                    ("c2", "c3", "c4", "c5", "boundary")),
+}
+VARIANTS = tuple(_IDENTITIES)
 
 
 class QuadratureError(RuntimeError):
@@ -62,14 +73,11 @@ class OperatorKind:
     boundary_density_limit: float | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in _IDENTITIES:
             raise ValueError(f"unknown operator variant '{self.variant}'")
-        needs_left = self.variant in ("lower_bounded_min", "bounded_right_limit", "bounded_left_limit")
-        needs_right = self.variant in ("upper_bounded_max", "bounded_right_limit", "bounded_left_limit")
-        if needs_left and self.left is None:
-            raise ValueError(f"variant '{self.variant}' requires a left boundary")
-        if needs_right and self.right is None:
-            raise ValueError(f"variant '{self.variant}' requires a right boundary")
+        for side in _IDENTITIES[self.variant].needs:
+            if getattr(self, side) is None:
+                raise ValueError(f"variant '{self.variant}' requires a {side} boundary")
         if self.boundary_density_limit is not None and not self.boundary_density_limit >= 0:
             raise ValueError("boundary_density_limit must be >= 0")
 
@@ -139,13 +147,6 @@ def _quad(f, a, b, breakpoints=(), quad_tol=1e-9):
     return total
 
 
-def _knots(*dists):
-    out = []
-    for d in dists:
-        out.extend(d.support.knots)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Exact operators (expectations under an arbitrary data law)
 # --------------------------------------------------------------------------
@@ -160,35 +161,36 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
     under a different data law; away from the fixed point the result differs
     from that law's CDF.  The returned value is always on the CDF scale.
     """
+    _check_interior(dist, t=t)
     kind, law, a, b, weighted = _operator_setup(dist, kind, under)
-    brk = [t] + _knots(dist, law)
+    identity = _IDENTITIES[kind.variant]
+    brk = [t, *dist.support.knots, *law.support.knots]
 
-    if kind.variant == "real_line":
+    if identity.form == "line":
         return _quad(lambda x: weighted(x, t - x), a, min(t, b), brk, quad_tol)
 
-    if kind.variant in ("positive_axis_min", "lower_bounded_min", "bounded_right_limit"):
+    if identity.form == "min":
         L = kind.lower
         val = _quad(lambda x: weighted(x, -(min(x, t) - L)), a, b, brk, quad_tol)
-        if kind.variant == "bounded_right_limit":
+        if identity.limit_at:
             val += (t - L) * kind.boundary_density_limit
         return val
 
     # max-type variants characterize 1 - F(t); convert to the CDF scale
     R = kind.right
     val = _quad(lambda x: weighted(x, R - max(x, t)), a, b, brk, quad_tol)
-    if kind.variant == "bounded_left_limit":
+    if identity.limit_at:
         val += (R - t) * kind.boundary_density_limit
     return 1.0 - val
 
 
 def _operator_setup(dist, kind, under):
-    """exact_T's and density_identity's operator (dist's default when None),
-    data law, its support's ends and weighted score; DomainError for a
-    bounded operator without the endpoint density limit its identity adds."""
+    """The operator (dist's default when None), data law, its support's ends
+    and weighted score; DomainError for a bounded operator without the
+    endpoint density limit its identity adds."""
     if kind is None:
         kind = default_operator(dist)
-    if kind.variant in ("bounded_right_limit", "bounded_left_limit") \
-            and kind.boundary_density_limit is None:
+    if _IDENTITIES[kind.variant].limit_at and kind.boundary_density_limit is None:
         raise DomainError(f"{kind.variant} operator needs a finite endpoint density limit")
     law = under if under is not None else dist
     return kind, law, law.support.left, law.support.right, _weighted_score(dist, law)
@@ -212,19 +214,18 @@ def density_identity(dist: DistributionSpec, t: float, kind: OperatorKind | None
 
     Under dist's own law this equals pdf(dist, t) within quadrature error.
     """
+    _check_interior(dist, t=t)
     kind, law, a, b, weighted = _operator_setup(dist, kind, under)
-    brk = _knots(dist, law)
+    identity = _IDENTITIES[kind.variant]
+    brk = [*dist.support.knots, *law.support.knots]
 
-    if kind.variant in ("real_line", "upper_bounded_max"):
-        return _quad(lambda x: weighted(x, 1.0), a, min(t, b), brk, quad_tol)
-    if kind.variant in ("positive_axis_min", "lower_bounded_min", "bounded_right_limit"):
+    if identity.form == "min":
         val = _quad(lambda x: weighted(x, -1.0), max(t, a), b, brk, quad_tol)
-        if kind.variant == "bounded_right_limit":
-            val += kind.boundary_density_limit
-        return val
-    # bounded_left_limit
-    val = _quad(lambda x: weighted(x, 1.0), a, min(t, b), brk, quad_tol)
-    return val + kind.boundary_density_limit
+    else:
+        val = _quad(lambda x: weighted(x, 1.0), a, min(t, b), brk, quad_tol)
+    if identity.limit_at:
+        val += kind.boundary_density_limit
+    return val
 
 
 def fixed_point_residual(dist: DistributionSpec, kind: OperatorKind | None = None,
@@ -234,9 +235,7 @@ def fixed_point_residual(dist: DistributionSpec, kind: OperatorKind | None = Non
 
     Zero (up to quadrature error) exactly when the data law is dist itself.
     """
-    if kind is None:
-        kind = default_operator(dist)
-    law = under if under is not None else dist
+    kind, law, *_ = _operator_setup(dist, kind, under)
     if grid is None:
         grid = quantile(law, np.linspace(0.01, 0.99, 50))
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -292,11 +291,7 @@ def test_function_ftp(dist: DistributionSpec, t: float, x: float) -> float:
     limit -1/score(x) (the Mills-type asymptote), so the function stays
     finite and accurate instead of collapsing to 0/0.
     """
-    sup = dist.support
-    if not (sup.left < t < sup.right):
-        raise DomainError("t outside the open support")
-    if not (sup.left < x < sup.right):
-        raise DomainError("x outside the open support")
+    _check_interior(dist, t=t, x=x)
     px = pdf(dist, x)
     if x <= t:
         num = cdf(dist, x)
@@ -307,6 +302,13 @@ def test_function_ftp(dist: DistributionSpec, t: float, x: float) -> float:
     if num > _TINY and px > _TINY:
         return num * cdf(dist, t) / px
     return cdf(dist, t) * _tail_ratio(dist, x, lower=False)
+
+
+def _check_interior(dist, **points):
+    """DomainError naming the first point outside dist's open support."""
+    for name, v in points.items():
+        if not dist.support.left < v < dist.support.right:
+            raise DomainError(f"{name} outside the open support")
 
 
 # direct CDF/density ratios lose relative precision once the operands reach
@@ -325,28 +327,26 @@ def _tail_ratio(dist, x, lower):
     s = score(dist, x)
     if (lower and s <= 0.0) or (not lower and s >= 0.0):
         return 0.0
-    h = 1e-6 * max(1.0, abs(x))
-    sup = dist.support
-    if sup.bounded_below:
-        h = min(h, 0.49 * (x - sup.left))
-    if sup.bounded_above:
-        h = min(h, 0.49 * (sup.right - x))
+    h = _inside_step(dist.support, x, 1e-6 * max(1.0, abs(x)))
     s_prime = (score(dist, x + h) - score(dist, x - h)) / (2 * h)
     u = s_prime / (s * s)
     val = (1.0 + u) / s
     return val if lower else -val
 
 
+def _inside_step(sup, x, h):
+    """h, shrunk so that the stencil x +- h stays inside sup's finite ends."""
+    for end in (sup.left, sup.right):
+        if math.isfinite(end):
+            h = min(h, 0.49 * abs(x - end))
+    return h
+
+
 def _ftp_derivative_fd(dist, t, x):
     """Central finite difference of the test function, step shrunk so the
     stencil never crosses t, a knot, or a support endpoint."""
     sup = dist.support
-    h = 1e-5 * max(1.0, abs(x))
-    h = min(h, 0.49 * abs(x - t))
-    if sup.bounded_below:
-        h = min(h, 0.49 * (x - sup.left))
-    if sup.bounded_above:
-        h = min(h, 0.49 * (sup.right - x))
+    h = _inside_step(sup, x, min(1e-5 * max(1.0, abs(x)), 0.49 * abs(x - t)))
     for y in sup.knots:
         if x != y:
             h = min(h, 0.49 * abs(x - y))
@@ -365,9 +365,7 @@ def stein_expectation(dist: DistributionSpec, candidate: DistributionSpec, t: fl
     """
     if candidate.support.left < dist.support.left or candidate.support.right > dist.support.right:
         raise DomainError("candidate support must be contained in dist's support")
-    sup = dist.support
-    if not (sup.left < t < sup.right):
-        raise DomainError("t outside the open support")
+    _check_interior(dist, t=t)
 
     def integrand(x):
         w = pdf(candidate, x)
@@ -378,7 +376,7 @@ def stein_expectation(dist: DistributionSpec, candidate: DistributionSpec, t: fl
         return (fprime + score(dist, x) * f) * w
 
     a, b = candidate.support.left, candidate.support.right
-    return _quad(integrand, a, b, [t] + _knots(dist, candidate), quad_tol)
+    return _quad(integrand, a, b, [t, *dist.support.knots, *candidate.support.knots], quad_tol)
 
 
 # --------------------------------------------------------------------------
@@ -473,17 +471,10 @@ def check_conditions(dist: DistributionSpec, grid_size: int = 400,
     if kind is None:
         kind = default_operator(dist, strict=False)
     sup = dist.support
+    identity = _IDENTITIES[kind.variant]
     rep = ConditionReport(family=dist.family, params=dist.param_dict, variant=kind.variant)
     rep.grid = (f"{grid_size} quantile-mapped log-spaced interior points; "
                 "endpoint sequences at geometric distances 1e-1..1e-8")
-
-    required = {"c2", "c3"}
-    if kind.variant in ("positive_axis_min", "lower_bounded_min"):
-        required.add("c4")
-    elif kind.variant == "upper_bounded_max":
-        required.add("c5")
-    elif kind.variant in ("bounded_right_limit", "bounded_left_limit"):
-        required |= {"c4", "c5", "boundary"}
 
     # --- C2: supremum of kappa on a log-spaced interior grid
     half = grid_size // 2
@@ -517,34 +508,22 @@ def check_conditions(dist: DistributionSpec, grid_size: int = 400,
     rep.c3_integral, c3_ok = _c3_integral(dist, c3_integrand)
     rep.verdicts["c3"] = "pass" if c3_ok else "fail"
 
-    # --- C4 / C5: endpoint CDF(density) ratio limits at finite endpoints
-    for cond, side, endpoint, needed in (
-            ("c4", "left", sup.left, "c4" in required),
-            ("c5", "right", sup.right, "c5" in required)):
-        if not needed or not math.isfinite(endpoint):
+    # --- C4 / C5: the CDF(density) ratio must vanish at the left / right
+    # endpoint; boundary: the density limit the identity adds must exist
+    # (a stabilized limit is always finite)
+    for cond, side, fn, ceiling in (
+            ("c4", "left", lambda x: _ratio_cdf_over_pdf(dist, x, "left"), LIMIT_ZERO_TOL),
+            ("c5", "right", lambda x: _ratio_cdf_over_pdf(dist, x, "right"), LIMIT_ZERO_TOL),
+            ("boundary", identity.limit_at, lambda x: pdf(dist, x), math.inf)):
+        endpoint = sup.left if side == "left" else sup.right
+        if cond not in identity.requires or not math.isfinite(endpoint):
             rep.verdicts[cond] = "not_applicable"
             continue
-        vals = _endpoint_sequence(dist, endpoint, side,
-                                  lambda x: _ratio_cdf_over_pdf(dist, x, side))
-        limit, stable = _extrapolate_limit(vals)
-        if cond == "c4":
-            rep.c4_limit = limit
-        else:
-            rep.c5_limit = limit
-        rep.verdicts[cond] = "pass" if stable and abs(limit) <= LIMIT_ZERO_TOL else "fail"
+        limit, stable = _extrapolate_limit(_endpoint_sequence(dist, endpoint, side, fn))
+        setattr(rep, f"{cond}_limit", limit)
+        rep.verdicts[cond] = "pass" if stable and abs(limit) <= ceiling else "fail"
 
-    # --- existence of the endpoint density limit (bounded-support variants)
-    if "boundary" in required:
-        side = "right" if kind.variant == "bounded_right_limit" else "left"
-        endpoint = sup.right if side == "right" else sup.left
-        vals = _endpoint_sequence(dist, endpoint, side, lambda x: pdf(dist, x))
-        limit, stable = _extrapolate_limit(vals)
-        rep.boundary_limit = limit
-        rep.verdicts["boundary"] = "pass" if stable and math.isfinite(limit) else "fail"
-    else:
-        rep.verdicts["boundary"] = "not_applicable"
-
-    rep.supported = all(rep.verdicts.get(c) == "pass" for c in required)
+    rep.supported = all(rep.verdicts[c] == "pass" for c in identity.requires)
     return rep
 
 

@@ -498,15 +498,23 @@ _register(
     score=lambda p, x: p["theta"] / (1 + p["theta"] * x) - 1 - p["theta"] * x,
 )
 
+
+def _inverse_power(x, e):
+    """x^-e; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return x ** -e
+
+
 _register(
     "inverse_weibull", ("theta",),
     support=lambda p: Support(0.0, _INF),
     positive=("theta",),
-    logpdf=lambda p, x: math.log(p["theta"]) - (p["theta"] + 1) * np.log(x) - x ** -p["theta"],
-    cdf=lambda p, x: np.exp(-(x ** -p["theta"])),
-    sf=lambda p, x: -np.expm1(-(x ** -p["theta"])),
-    quantile=lambda p, u: (-np.log(u)) ** (-1.0 / p["theta"]),
-    score=lambda p, x: -(p["theta"] + 1) / x + p["theta"] * x ** -(p["theta"] + 1),
+    logpdf=lambda p, x: (math.log(p["theta"]) - (p["theta"] + 1) * np.log(x)
+                         - _inverse_power(x, p["theta"])),
+    cdf=lambda p, x: np.exp(-_inverse_power(x, p["theta"])),
+    sf=lambda p, x: -np.expm1(-_inverse_power(x, p["theta"])),
+    quantile=lambda p, u: _inverse_power(-np.log(u), 1.0 / p["theta"]),
+    score=lambda p, x: -(p["theta"] + 1) / x + p["theta"] * _inverse_power(x, p["theta"] + 1),
 )
 
 # gamma translated to (mu, inf): the gamma record's formulas at x - mu

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steinfit.characterization import (
+    VARIANTS,
     OperatorKind,
     check_conditions,
     default_operator,
@@ -25,6 +26,7 @@ from steinfit.distributions import (
     quantile,
     sample,
     score,
+    sf,
 )
 
 
@@ -172,6 +174,21 @@ def test_every_identity_reproduces_its_law(dist, kind, variant, required):
     assert rep.supported
 
 
+@pytest.mark.parametrize("dist,kind,t", [
+    (EXP1, None, -1.0),
+    (EXP1, None, 0.0),
+    (make_distribution("beta", alpha=1.0, beta=2.0),
+     OperatorKind("bounded_left_limit", left=0.0, right=1.0, boundary_density_limit=2.0), -0.5),
+    (BETA23, None, 1.5),
+    (make_distribution("normal", mu=0.0, sigma2=1.0), None, math.inf),
+], ids=["exp1_below", "exp1_at_left_end", "beta12_left_limit_below", "beta23_above",
+        "normal_at_inf"])
+@pytest.mark.parametrize("identity", [exact_T, density_identity])
+def test_identities_refuse_t_outside_the_support(dist, kind, t, identity):
+    with pytest.raises(DomainError, match="^t outside the open support"):
+        identity(dist, t=t, kind=kind)
+
+
 def test_mismatched_law_residual():
     # operator of Exp(1) evaluated under Exp(2) data: E[min{X,t}] = (1-e^{-2t})/2
     val = exact_T(EXP1, None, 1.0, under=EXP2)
@@ -287,27 +304,29 @@ def test_condition_report_serializes():
     json.dumps(doc)
 
 
-@pytest.mark.parametrize("variant,needs", [
-    ("real_line", ()),
-    ("positive_axis_min", ()),
-    ("lower_bounded_min", ("left",)),
-    ("upper_bounded_max", ("right",)),
-    ("bounded_right_limit", ("left", "right")),
-    ("bounded_left_limit", ("left", "right")),
-])
-def test_operator_kind_validation(variant, needs):
+# the boundaries each operator variant needs
+NEEDED_BOUNDARIES = {
+    "real_line": (),
+    "positive_axis_min": (),
+    "lower_bounded_min": ("left",),
+    "upper_bounded_max": ("right",),
+    "bounded_right_limit": ("left", "right"),
+    "bounded_left_limit": ("left", "right"),
+}
+
+
+def test_operator_kind_validation():
+    assert tuple(NEEDED_BOUNDARIES) == VARIANTS
     full = dict(left=0.0, right=1.0)
-    assert OperatorKind(variant, **full).variant == variant
-    assert OperatorKind(variant, **{side: full[side] for side in needs}).variant == variant
-    for side in needs:
-        other = {s: v for s, v in full.items() if s != side}
-        with pytest.raises(ValueError, match=f"variant '{variant}' requires a {side} boundary"):
-            OperatorKind(variant, **other)
-    with pytest.raises(ValueError, match="boundary_density_limit must be >= 0"):
-        OperatorKind(variant, **full, boundary_density_limit=-1.0)
-
-
-def test_operator_kind_refusals():
+    for variant, needs in NEEDED_BOUNDARIES.items():
+        assert OperatorKind(variant, **full).variant == variant
+        assert OperatorKind(variant, **{side: full[side] for side in needs}).variant == variant
+        for side in needs:
+            other = {s: v for s, v in full.items() if s != side}
+            with pytest.raises(ValueError, match=f"variant '{variant}' requires a {side} boundary"):
+                OperatorKind(variant, **other)
+        with pytest.raises(ValueError, match="boundary_density_limit must be >= 0"):
+            OperatorKind(variant, **full, boundary_density_limit=-1.0)
     with pytest.raises(ValueError, match="unknown operator variant 'nosuch'"):
         OperatorKind("nosuch")
     with pytest.raises(DomainError):
@@ -321,3 +340,16 @@ def test_required_conditions_come_from_the_variant_not_the_boundaries_passed():
     assert rep.verdicts["c5"] == "not_applicable"
     assert rep.verdicts["boundary"] == "not_applicable"
     assert rep.supported
+
+
+@pytest.mark.parametrize("theta", [1000.0, 0.01])
+def test_inverse_weibull_at_extreme_theta_raises_no_warning(theta):
+    # x^-theta overflows near 0 at large theta, and the quantile's power
+    # overflows at small theta; each is inf without a RuntimeWarning
+    dist = make_distribution("inverse_weibull", theta=theta)
+    rep = check_conditions(dist)
+    assert set(rep.verdicts) == {"c2", "c3", "c4", "c5", "boundary"}
+    x = np.logspace(-8, 8, 33)
+    for fn in (pdf, cdf, sf, score):
+        fn(dist, x)
+    assert np.all(quantile(dist, np.logspace(-300, -1, 30)) > 0)
