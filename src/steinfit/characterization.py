@@ -81,12 +81,6 @@ class OperatorKind:
         if self.boundary_density_limit is not None and not self.boundary_density_limit >= 0:
             raise ValueError("boundary_density_limit must be >= 0")
 
-    @property
-    def lower(self) -> float:
-        if self.variant == "positive_axis_min":
-            return 0.0
-        return self.left if self.left is not None else -math.inf
-
 
 def default_operator(dist: DistributionSpec, strict: bool = True) -> OperatorKind:
     """Pick the operator variant matching the support shape of ``dist``.
@@ -161,8 +155,7 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
     under a different data law; away from the fixed point the result differs
     from that law's CDF.  The returned value is always on the CDF scale.
     """
-    _check_interior(dist, t=t)
-    kind, law, a, b, weighted = _operator_setup(dist, kind, under)
+    kind, law, a, b, weighted = _operator_setup(dist, kind, under, t=t)
     identity = _IDENTITIES[kind.variant]
     brk = [t, *dist.support.knots, *law.support.knots]
 
@@ -170,7 +163,7 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
         return _quad(lambda x: weighted(x, t - x), a, min(t, b), brk, quad_tol)
 
     if identity.form == "min":
-        L = kind.lower
+        L = 0.0 if kind.variant == "positive_axis_min" else kind.left
         val = _quad(lambda x: weighted(x, -(min(x, t) - L)), a, b, brk, quad_tol)
         if identity.limit_at:
             val += (t - L) * kind.boundary_density_limit
@@ -184,16 +177,27 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
     return 1.0 - val
 
 
-def _operator_setup(dist, kind, under):
+def _operator_setup(dist, kind, under, **points):
     """The operator (dist's default when None), data law, its support's ends
-    and weighted score; DomainError for a bounded operator without the
-    endpoint density limit its identity adds."""
-    if kind is None:
-        kind = default_operator(dist)
+    and weighted score; DomainError for a point outside dist's open support
+    or a bounded operator without its identity's endpoint density limit."""
+    _check_interior(dist, **points)
+    kind = _resolve(dist, kind)
     if _IDENTITIES[kind.variant].limit_at and kind.boundary_density_limit is None:
         raise DomainError(f"{kind.variant} operator needs a finite endpoint density limit")
     law = under if under is not None else dist
     return kind, law, law.support.left, law.support.right, _weighted_score(dist, law)
+
+
+def _resolve(dist, kind, strict=True):
+    """kind, or dist's default operator when None; DomainError naming both
+    when a boundary kind's identity uses is not that end of dist's support."""
+    kind = kind or default_operator(dist, strict)
+    for side in _IDENTITIES[kind.variant].needs:
+        if getattr(kind, side) != getattr(dist.support, side):
+            raise DomainError(f"{kind.variant} operator's {side} boundary {getattr(kind, side)} is "
+                              f"not the {side} end {getattr(dist.support, side)} of {dist.label}")
+    return kind
 
 
 def _weighted_score(dist, law):
@@ -214,8 +218,7 @@ def density_identity(dist: DistributionSpec, t: float, kind: OperatorKind | None
 
     Under dist's own law this equals pdf(dist, t) within quadrature error.
     """
-    _check_interior(dist, t=t)
-    kind, law, a, b, weighted = _operator_setup(dist, kind, under)
+    kind, law, a, b, weighted = _operator_setup(dist, kind, under, t=t)
     identity = _IDENTITIES[kind.variant]
     brk = [*dist.support.knots, *law.support.knots]
 
@@ -468,8 +471,7 @@ def check_conditions(dist: DistributionSpec, grid_size: int = 400,
     """
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")
-    if kind is None:
-        kind = default_operator(dist, strict=False)
+    kind = _resolve(dist, kind, strict=False)
     sup = dist.support
     identity = _IDENTITIES[kind.variant]
     rep = ConditionReport(family=dist.family, params=dist.param_dict, variant=kind.variant)

@@ -35,7 +35,6 @@ shifted_gamma(k, lam, mu)          gamma translated to (mu, inf)
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import math
 import sys
 from collections.abc import Callable
@@ -44,24 +43,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _lazy_module(name: str):
-    """The module ``name``, executed on first attribute access: the "Implementing
-    lazy imports" recipe of the importlib documentation.  A module already in
-    sys.modules is returned as it is."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
+class _SpecialOnFirstUse:
+    """Stands in for scipy.special, steinfit's costliest import with the scipy
+    package, which the Burr family's path never touches: the first attribute
+    read imports the module and rebinds ``sp`` to it."""
+
+    def __getattr__(self, name):
+        global sp
+        import scipy.special as sp
+        return getattr(sp, name)
 
 
-# scipy.special costs about 0.28 s to import; the Burr family's path never
-# touches it, every other use loads it on its first call
-sp = _lazy_module("scipy.special")
+sp = sys.modules.get("scipy.special") or _SpecialOnFirstUse()
 
 
 class ParameterError(ValueError):
@@ -693,29 +686,32 @@ def sample_rows(dist: DistributionSpec, n: int, rngs) -> np.ndarray:
         raise ValueError("n must be >= 1")
     fam = _REGISTRY[dist.family]
     p = dist.param_dict
+    rows = np.empty((len(rngs), n))
+    for row, g in zip(rows, _generators(rngs)):
+        if fam.sampler is None:
+            g.random(out=row)
+        else:
+            row[:] = fam.sampler(p, n, g)
     if fam.sampler is not None:
-        return np.array([fam.sampler(p, n, rng.generator()) for rng in rngs])
-    u = np.clip(_uniform_rows(rngs, n), _U_EPS, 1 - _U_EPS)
+        return rows
+    u = np.clip(rows, _U_EPS, 1 - _U_EPS)
     if fam.draw is not None:
         return fam.draw(p, u)
     return np.asarray(quantile(dist, u), dtype=float)
 
 
-def _uniform_rows(rngs, n: int) -> np.ndarray:
-    """``rng.generator().random(n)`` for every stream in rngs, one row each,
-    from one Philox generator.  Philox is counter-based, so a stream is its
-    key: the generator is built for the first stream and re-keyed for each
-    further one, with its counter at 0 and its buffer empty, which is the
-    state a new bit generator starts from."""
-    g = rngs[0].generator()
+def _generators(rngs):
+    """``rng.generator()`` for each stream in rngs in turn: one Philox
+    generator, re-keyed to each stream.  Philox is counter-based, so a
+    stream is its key, and re-keyed with its counter at 0 and its buffer
+    empty the generator is in the state a new one starts from.  Use each
+    before the next."""
+    g = RngStream(0).generator()
     fresh = g.bit_generator.state
-    u = np.empty((len(rngs), n))
-    g.random(out=u[0])
-    for row, rng in zip(u[1:], rngs[1:]):
+    for rng in rngs:
         fresh["state"]["key"] = rng.key
         g.bit_generator.state = fresh
-        g.random(out=row)
-    return u
+        yield g
 
 
 def log_likelihood(dist: DistributionSpec, s) -> float:

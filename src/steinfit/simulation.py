@@ -23,7 +23,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .bootstrap import (
@@ -283,6 +282,7 @@ def run_power_study(cfg: PowerStudyConfig, workers: int = 1) -> PowerStudyReport
             for rep in range(cfg.mc_reps)]
     chunk = max(1, math.ceil(cfg.mc_reps / max(1, 4 * workers)))
     if workers > 1 and len(jobs) > chunk:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         # the pool starts all its workers at once: no more than it has chunks
         with ProcessPoolExecutor(max_workers=min(workers, math.ceil(len(jobs) / chunk))) as pool:
             outcomes = list(pool.map(_run_one_replicate, *zip(*jobs), chunksize=chunk))

@@ -342,6 +342,27 @@ def test_required_conditions_come_from_the_variant_not_the_boundaries_passed():
     assert rep.supported
 
 
+@pytest.mark.parametrize("kind, message", [
+    (OperatorKind("lower_bounded_min", left=0.5), "left boundary 0.5 is not the left end 0.0"),
+    (OperatorKind("upper_bounded_max", right=3.0), "right boundary 3.0 is not the right end inf"),
+], ids=["lower_bounded_min_left_inside", "upper_bounded_max_right_finite"])
+def test_identities_refuse_a_boundary_that_is_not_the_support_end(kind, message):
+    # on Exp(1) at t = 1 these gave 0.132 and 2.632 where F(1) = 0.632
+    for call in (lambda: exact_T(EXP1, kind, 1.0), lambda: density_identity(EXP1, 1.0, kind),
+                 lambda: fixed_point_residual(EXP1, kind)):
+        with pytest.raises(DomainError,
+                           match=f"{kind.variant} operator's {message} of exponential\\(1\\)$"):
+            call()
+
+
+def test_check_conditions_refuses_a_boundary_that_is_not_the_support_end():
+    # it reported supported False without naming the mismatch
+    kind = OperatorKind("bounded_right_limit", left=0, right=1, boundary_density_limit=1)
+    with pytest.raises(DomainError, match="bounded_right_limit operator's right boundary 1 "
+                                          "is not the right end inf of exponential\\(1\\)$"):
+        check_conditions(EXP1, kind=kind)
+
+
 @pytest.mark.parametrize("theta", [1000.0, 0.01])
 def test_inverse_weibull_at_extreme_theta_raises_no_warning(theta):
     # x^-theta overflows near 0 at large theta, and the quantile's power

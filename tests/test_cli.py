@@ -384,11 +384,11 @@ def test_gamma_L2_at_a_tiny_fitted_shape_runs_clean(tmp_path, key, seed):
 
 def test_import_and_tests_load_no_optimize_or_quadrature(burr_file, tmp_path):
     # a fresh interpreter imports the CLI and runs a Burr B and a gamma L2
-    # test; only scipy.special of scipy's subpackages may be loaded, and it
-    # executes only once the gamma test needs it: the Burr test and a
+    # test; only scipy.special of scipy's subpackages may be loaded, and only
+    # once the gamma test needs it: the import, the Burr test and a
     # one-process power study on the Burr family with the six desk
-    # alternatives leave it unexecuted, so forked power-study workers never
-    # pay for it
+    # alternatives load neither scipy nor the process pool, so forked
+    # power-study workers never pay for scipy
     gamma_file = tmp_path / "gamma.txt"
     gamma = sample(make_distribution("gamma", k=2, lam=1), 100, RngStream(8))
     gamma_file.write_text("".join(f"{float(v)!r}\n" for v in gamma))
@@ -397,11 +397,12 @@ import contextlib, io, sys
 import steinfit.cli
 from steinfit.simulation import config_from_dict, run_power_study
 special = lambda: "scipy.special._ufuncs" in sys.modules
-assert not special()
+unloaded = lambda: not {{"scipy", "concurrent.futures.process", "multiprocessing"}} & set(sys.modules)
+assert not special() and unloaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert steinfit.cli.main(["test", "--data", {burr_file!r}, "--family", "burr", "--stat", "B",
                               "--B", "20"]) == 0
-assert not special()
+assert not special() and unloaded()
 cfg = config_from_dict({{
     "n": 40, "alpha": 0.1, "mc_reps": 2, "bootstrap_B": 20, "seed": 5, "family": "burr",
     "share_bootstrap": True,
@@ -409,7 +410,7 @@ cfg = config_from_dict({{
                    {{"stat": "watson"}}],
     "alternatives": {DESK_ALTERNATIVES!r}}})
 run_power_study(cfg, workers=1)
-assert not special()
+assert not special() and unloaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert steinfit.cli.main(["test", "--data", {str(gamma_file)!r}, "--family", "gamma",
                               "--stat", "L2", "--a", "1", "--B", "20"]) == 0

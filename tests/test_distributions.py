@@ -157,11 +157,12 @@ def test_pdf_normalizes(family, kw):
 
 @pytest.mark.parametrize("family,kw", CATALOG)
 def test_sampler_matches_cdf(family, kw):
-    # smoke test at the 0.001 level, not a proof
+    # smoke test at the 0.001 level, not a proof; no streams draw no rows
     dist = _dist(family, kw)
     vals = sample(dist, 10_000, RngStream(2024, 5))
     res = kstest(vals, lambda x: cdf(dist, x))
     assert res.pvalue > 0.001
+    assert sample_rows(dist, 5, []).shape == (0, 5)
 
 
 def test_sampler_deterministic():

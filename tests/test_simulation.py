@@ -1,10 +1,10 @@
+import concurrent.futures
 import csv
 import json
 import math
 
 import pytest
 
-from steinfit import simulation
 from steinfit.cli import main
 from steinfit.distributions import make_distribution
 from steinfit.gof import StatisticId
@@ -57,15 +57,17 @@ def test_determinism_across_worker_counts():
 
 
 def test_pool_is_no_larger_than_its_chunks(monkeypatch):
-    # 2 replicates at workers=6 make 2 chunks of 1: the pool gets 2 workers
+    # 2 replicates at workers=6 make 2 chunks of 1: the pool gets 2 workers;
+    # run_power_study looks the pool class up in concurrent.futures when it
+    # starts one
     sizes = []
 
-    class RecordingPool(simulation.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = small_config(mc_reps=2, alternatives=(("W(0.5)", W05),))
     docs = [run_power_study(cfg, workers=workers).to_dict() for workers in (1, 6)]
     for doc in docs:
