@@ -10,15 +10,18 @@ the hypothesis is rejected when the observed statistic strictly exceeds it.
 A hypothesis family is one record of ``_FAMILIES``; the weighted-L2
 statistic is built from the score of its unit law, with no per-family code.
 
-The observed sample is fitted by ``fit_family_retry`` and scored by
-``evaluate_statistic``, as one row of the replicates' kernels.  The B
-replicates of one sample are handled as (rows, n) matrices of at most
-BLOCK_DRAWS draws each: drawn with one quantile call, re-fitted together
-by the family's row fit in ``estimation`` (of which the observed sample's
-fit is the one-row case, and which refuses the rows that fit would), and
-scored by one kernel call per kind of statistic (``replicate_statistics``).
-Every row's result is independent of the block it falls in, so each
-estimator and statistic has one formula, whichever sample it fits or scores.
+The B replicates of one sample are run by ``bootstrap_block``, the one
+engine behind ``bootstrap_test`` and the power study: they are handled as
+(rows, n) matrices of at most BLOCK_DRAWS draws each, drawn with one
+quantile call, re-fitted together by the family's row fit in ``estimation``
+(which refuses the rows its scalar fit would), and scored by one kernel call
+per kind of statistic (``replicate_statistics``).  ``bootstrap_test`` fits
+and scores its observed sample by ``fit_family_retry`` and
+``evaluate_statistic``, for the full fit record its outcome reports; the
+power study's ``bootstrap_rows`` fits and scores many observed samples as
+the rows of one matrix, with one row-fit and one kernel call.  Every row's
+result is independent of the block it falls in, so each estimator and
+statistic has one formula, whichever sample it fits or scores.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .characterization import empirical_T_min, empirical_T_zero_bias  # noqa: F4
 from .distributions import cdf, sample, score  # noqa: F401
 from .distributions import (
     DistributionSpec,
+    ParameterError,
     RngStream,
     as_values,
     catalog_rows,
@@ -91,22 +95,25 @@ class TestOutcome:
 class _Family:
     law: str  # catalog family of the fitted law (Burr XII at scale 1)
     operator: str  # the unit law's operator variant: positive_axis_min or real_line
+    params: tuple  # the names of the fit's parameters, in order
     fit: Callable  # sample -> FitResult
-    fit_rows: Callable  # (X, fit) -> (an array per parameter of ``fit``, in order; rows fitted)
+    # (X, start) -> (an array per parameter, in order; rows fitted), where
+    # start is the law the rows were drawn from, or None for the scalar fit's start
+    fit_rows: Callable
     unit: Callable  # fit params -> (shift, scale, params of the unit law)
 
 
 # the estimators are looked up in this module at call time, where the tests
 # and bench/tracer.py replace them
 _FAMILIES = {
-    "burr": _Family("burr_xii", "positive_axis_min", lambda x: burr_mle(x),
-                    lambda X, fit: burr_mle_rows(X, fit.params["c"]),
+    "burr": _Family("burr_xii", "positive_axis_min", ("k", "c"), lambda x: burr_mle(x),
+                    lambda X, start: burr_mle_rows(X, 1.0 if start is None else start["c"]),
                     lambda p: (0.0, 1.0, {"k": p["k"], "c": p["c"]})),
-    "gamma": _Family("gamma", "positive_axis_min", lambda x: gamma_fit(x),
-                     lambda X, fit: gamma_fit_rows(X),
+    "gamma": _Family("gamma", "positive_axis_min", ("k", "lam"), lambda x: gamma_fit(x),
+                     lambda X, start: gamma_fit_rows(X),
                      lambda p: (0.0, p["lam"], {"k": p["k"], "lam": 1.0})),
-    "normal": _Family("normal", "real_line", lambda x: normal_fit(x),
-                      lambda X, fit: normal_fit_rows(X),
+    "normal": _Family("normal", "real_line", ("mu", "sigma2"), lambda x: normal_fit(x),
+                      lambda X, start: normal_fit_rows(X),
                       lambda p: (p["mu"], np.sqrt(p["sigma2"]), {"mu": 0.0, "sigma2": 1.0})),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -234,14 +241,13 @@ def decide(observed, boot: np.ndarray, alpha: float):
 
 def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
                          stream: Callable[[int], RngStream]):
-    """The parametric bootstrap behind bootstrap_test and the power study.
+    """The parametric bootstrap behind bootstrap_test.
 
-    Fits ``x`` and evaluates every statistic on it; replicate j = 1..B is
-    drawn from the fitted law on ``stream(j)``, re-fitted, and gives one row
-    of ``boot`` holding every statistic.  A replicate whose re-fit or any
-    statistic fails or is not finite is dropped whole.  Returns (fit,
-    observed, boot, failed); raises BootstrapError if the observed fit does
-    not converge, a statistic on it is not finite, or over 5% of replicates fail.
+    Fits ``x`` and evaluates every statistic on it, then runs the B
+    replicates of ``bootstrap_block``, replicate j on ``stream(j)``.
+    Returns (fit, observed, boot, failed); raises BootstrapError if the
+    observed fit does not converge, a statistic on it is not finite, or the
+    block does.
     """
     fit = fit_family_retry(family, x)
     if not fit.converged:
@@ -249,23 +255,62 @@ def bootstrap_replicates(x: np.ndarray, family: str, stats, B: int,
     observed = np.array([evaluate_statistic(family, stat, x, fit) for stat in stats])
     if not np.all(np.isfinite(observed)):
         raise BootstrapError(f"non-finite statistic on the observed sample: {observed}")
-    fitted = fitted_distribution(family, fit)
+    boot, failed = bootstrap_block(family, stats, fitted_distribution(family, fit), x.size,
+                                   [stream(j) for j in range(1, B + 1)])
+    return fit, observed, boot, failed
 
+
+def bootstrap_rows(X: np.ndarray, family: str, stats, streams: Callable[[int], list]):
+    """bootstrap_replicates on every row of X, row r's replicates on
+    ``streams(r)``: one row fit from the scalar fit's start and one
+    ``replicate_statistics`` call for the observed rows, then each row's
+    ``bootstrap_block``.  Returns (observed, boot) per row, or None for a
+    row on which bootstrap_replicates raises: its fit is refused (as the
+    scalar fit refuses it), a statistic on it is not finite, or its block
+    fails.  A row's result does not depend on the other rows.
+    """
+    rec = _family(family)
+    *values, ok = rec.fit_rows(X, None)
+    params = dict(zip(rec.params, values))
+    observed = replicate_statistics(family, stats, np.sort(X[ok], axis=1),
+                                    {name: v[ok] for name, v in params.items()})
+    out = [None] * X.shape[0]
+    for r, obs in zip(np.flatnonzero(ok), observed):
+        if not np.all(np.isfinite(obs)):
+            continue
+        try:
+            fitted = make_distribution(rec.law, **{name: float(v[r]) for name, v in params.items()})
+            out[r] = obs, bootstrap_block(family, stats, fitted, X.shape[1], streams(r))[0]
+        except (BootstrapError, ParameterError):
+            pass
+    return out
+
+
+def bootstrap_block(family: str, stats, fitted: DistributionSpec, n: int, streams):
+    """The B = len(streams) replicates of a sample of size n whose fit is
+    ``fitted``: replicate j is drawn from that law on ``streams[j - 1]``,
+    re-fitted by the family's row fit from the fitted parameters, and gives
+    one row of ``boot`` holding every statistic.  The replicates are handled
+    in blocks of at most BLOCK_DRAWS draws.  A replicate whose re-fit or any
+    statistic fails or is not finite is dropped whole.  Returns (boot,
+    failed); raises BootstrapError if over 5% of the replicates fail.
+    """
+    rec = _family(family)
+    B = len(streams)
     blocks = []
-    rows = max(1, BLOCK_DRAWS // x.size)
-    for first in range(1, B + 1, rows):
-        draws = sample_rows(fitted, x.size,
-                            [stream(j) for j in range(first, min(first + rows, B + 1))])
-        *values, ok = _family(family).fit_rows(draws, fit)
+    rows = max(1, BLOCK_DRAWS // n)
+    for first in range(0, B, rows):
+        draws = sample_rows(fitted, n, streams[first:first + rows])
+        *values, ok = rec.fit_rows(draws, fitted.param_dict)
         block = replicate_statistics(family, stats, np.sort(draws[ok], axis=1),
-                                     {name: v[ok] for name, v in zip(fit.params, values)})
+                                     {name: v[ok] for name, v in zip(rec.params, values)})
         blocks.append(block[np.all(np.isfinite(block), axis=1)])
     boot = np.concatenate(blocks)
     failed = B - boot.shape[0]
     if failed > MAX_FAILURE_FRACTION * B:
         raise BootstrapError(
-            f"{failed}/{B} bootstrap replicates failed to fit (family={family}, n={x.size})")
-    return fit, observed, boot, failed
+            f"{failed}/{B} bootstrap replicates failed to fit (family={family}, n={n})")
+    return boot, failed
 
 
 def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
@@ -282,8 +327,9 @@ def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     x = as_values(s)
+    reps = rng.children(("rep",), range(1, B + 1))
     fit, observed, boot, failed = bootstrap_replicates(
-        x, family, [stat], B, lambda j: rng.child("rep", j))
+        x, family, [stat], B, lambda j: reps[j - 1])
     (crit,), (p_value,), (reject,) = decide(observed, boot, alpha)
     return TestOutcome(
         family=family,

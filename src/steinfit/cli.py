@@ -243,6 +243,16 @@ def _cmd_verify(args) -> int:
 # Entry point
 # --------------------------------------------------------------------------
 
+def _worker_count(text: str) -> int:
+    """An integer >= 1, or a usage error."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinfit",
@@ -266,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo power study from a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (default: all cores); results are "
+    p_sim.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
+                       help="worker processes, >= 1 (default: all cores); results are "
                             "identical for any thread count")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -139,10 +139,17 @@ def derive_stream_id(base: int, *keys) -> int:
     Uses SHA-256 so the derivation is stable across processes and platforms
     (Python's built-in ``hash`` is salted and must not be used here).
     """
-    h = hashlib.sha256(str(int(base)).encode())
+    return _stream_id(_fed(hashlib.sha256(str(int(base)).encode()), keys))
+
+
+def _fed(h, keys):
+    """SHA-256 state h fed each key after a 0x1f separator."""
     for k in keys:
-        h.update(b"\x1f")
-        h.update(str(k).encode())
+        h.update(b"\x1f" + str(k).encode())
+    return h
+
+
+def _stream_id(h) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
@@ -167,6 +174,12 @@ class RngStream:
 
     def child(self, *keys) -> "RngStream":
         return RngStream(self.seed, derive_stream_id(self.stream_id, *keys))
+
+    def children(self, prefix, keys) -> list["RngStream"]:
+        """``[self.child(*prefix, key) for key in keys]``, hashing the stream
+        id and ``prefix`` once and a copy of that hash for each key."""
+        h = _fed(hashlib.sha256(str(int(self.stream_id)).encode()), prefix)
+        return [RngStream(self.seed, _stream_id(_fed(h.copy(), (key,)))) for key in keys]
 
     def fingerprint(self) -> str:
         return f"philox:{self.seed}:{self.stream_id}"

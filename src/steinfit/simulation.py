@@ -5,14 +5,22 @@ bootstrap test for every statistic, and tallies rejection rates.  By
 default all statistics share one fit and one set of bootstrap draws per
 replicate (each statistic still ranks its own bootstrap distribution),
 which cuts the cost by the number of statistics; ``share_bootstrap=False``
-gives every statistic its own independent bootstrap instead.  Both modes
-run the one bootstrap engine, ``bootstrap.bootstrap_replicates``, which
-draws, re-fits and scores the B replicates of a sample as one matrix and
-drops a replicate whole when its re-fit or any statistic fails.
+gives every statistic its own independent bootstrap instead.
+
+The replicates are run in chunks of consecutive replicates of one
+alternative (``_chunks``), and a chunk is handled as rows: one
+``sample_rows`` call draws its K samples, and ``bootstrap.bootstrap_rows``
+fits them with one row-fit call and scores them with one kernel call, then
+runs each replicate's bootstrap block (``bootstrap.bootstrap_block``, the
+engine ``bootstrap_test`` uses too), which draws, re-fits and scores its B
+replicates as one matrix and drops a replicate whole when its re-fit or any
+statistic fails.  A replicate whose own fit, statistic or bootstrap fails
+is counted as failed alone.
 
 Every random draw is keyed by (master seed, alternative label, replicate
-index), so reports are bit-identical regardless of worker count or of which
-other alternatives appear in the config.
+index), so reports are bit-identical regardless of worker count, of how the
+replicates are cut into chunks, or of which other alternatives appear in
+the config.
 """
 
 from __future__ import annotations
@@ -26,16 +34,17 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .bootstrap import (
+    BLOCK_DRAWS,
     FAMILIES,
-    BootstrapError,
-    bootstrap_replicates,
-    bootstrap_test,
+    bootstrap_rows,
     check_statistics,
     decide,
 )
 # unused here, but bench/tracer.py wraps these names in this module's namespace
-from .bootstrap import evaluate_statistic, fit_family_retry, fitted_distribution  # noqa: F401
-from .distributions import DistributionSpec, ParameterError, RngStream, make_distribution, sample
+from .bootstrap import bootstrap_test, evaluate_statistic, fit_family_retry  # noqa: F401
+from .bootstrap import fitted_distribution  # noqa: F401
+from .distributions import sample  # noqa: F401
+from .distributions import DistributionSpec, ParameterError, RngStream, make_distribution, sample_rows
 from .gof import STAT_NAMES, STATISTICS, StatisticId
 
 MAX_CELL_FAILURE_FRACTION = 0.05
@@ -256,38 +265,50 @@ class PowerStudyReport:
 # Execution
 # --------------------------------------------------------------------------
 
-def _run_one_replicate(cfg: PowerStudyConfig, alt_label: str, alt: DistributionSpec,
-                       rep: int):
-    """One Monte Carlo replicate: each statistic's decision, in config order,
-    or None when the replicate failed (fit breakdown)."""
-    root = RngStream(cfg.seed).child("alt", alt_label, "rep", rep)
-    x = sample(alt, cfg.n, root.child("data"))
-    try:
-        if not cfg.share_bootstrap:
-            return [bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,
-                                   root.child("stat", stat.label)).reject
-                    for stat in cfg.statistics]
-        _, observed, boot, _ = bootstrap_replicates(
-            x, cfg.family, cfg.statistics, cfg.bootstrap_B, lambda b: root.child("boot", b))
-    except (BootstrapError, ValueError):  # a FitError is a ValueError
-        return None
-    return decide(observed, boot, cfg.alpha)[2].tolist()
+def _run_chunk(cfg: PowerStudyConfig, alt_label: str, alt: DistributionSpec, reps: range):
+    """Monte Carlo replicates ``reps`` of one alternative, as rows: each
+    replicate's decisions, statistic by statistic in config order, or None
+    when it failed (fit breakdown)."""
+    roots = RngStream(cfg.seed).children(("alt", alt_label, "rep"), reps)
+    X = sample_rows(alt, cfg.n, [root.child("data") for root in roots])
+    B = range(1, cfg.bootstrap_B + 1)
+    if cfg.share_bootstrap:  # one set of bootstrap draws for every statistic
+        runs = [bootstrap_rows(X, cfg.family, cfg.statistics,
+                               lambda r: roots[r].children(("boot",), B))]
+    else:  # each statistic's own draws, on the streams bootstrap_test gives them
+        runs = [bootstrap_rows(X, cfg.family, [stat], lambda r, stat=stat:
+                               roots[r].child("stat", stat.label).children(("rep",), B))
+                for stat in cfg.statistics]
+    return [None if None in row else
+            [bool(d) for observed, boot in row for d in decide(observed, boot, cfg.alpha)[2]]
+            for row in zip(*runs)]
+
+
+def _chunks(cfg: PowerStudyConfig, workers: int) -> list[range]:
+    """Each alternative's replicates as near-equal consecutive ranges: one
+    range with one worker, else enough for about four chunks per worker,
+    and never a chunk of more than BLOCK_DRAWS draws."""
+    parts = 1 if workers == 1 else math.ceil(4 * workers / len(cfg.alternatives))
+    parts = min(cfg.mc_reps, max(parts, math.ceil(cfg.mc_reps / max(1, BLOCK_DRAWS // cfg.n))))
+    return [range(i * cfg.mc_reps // parts, (i + 1) * cfg.mc_reps // parts) for i in range(parts)]
 
 
 def run_power_study(cfg: PowerStudyConfig, workers: int = 1) -> PowerStudyReport:
     """Execute the study; identical output for any worker count."""
     cfg.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    jobs = [(cfg, alt_label, alt, rep) for alt_label, alt in cfg.alternatives
-            for rep in range(cfg.mc_reps)]
-    chunk = max(1, math.ceil(cfg.mc_reps / max(1, 4 * workers)))
-    if workers > 1 and len(jobs) > chunk:
+    chunks = _chunks(cfg, workers)
+    jobs = [(cfg, alt_label, alt, reps) for alt_label, alt in cfg.alternatives for reps in chunks]
+    if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         # the pool starts all its workers at once: no more than it has chunks
-        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(len(jobs) / chunk))) as pool:
-            outcomes = list(pool.map(_run_one_replicate, *zip(*jobs), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            results = list(pool.map(_run_chunk, *zip(*jobs)))
     else:
-        outcomes = [_run_one_replicate(*job) for job in jobs]
+        results = [_run_chunk(*job) for job in jobs]
+    outcomes = [outcome for chunk in results for outcome in chunk]
 
     report = PowerStudyReport(config=cfg)
     for i, (alt_label, _) in enumerate(cfg.alternatives):

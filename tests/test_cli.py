@@ -540,6 +540,19 @@ def test_cmd_simulate_out_is_a_file_exit_2(tmp_path, capsys, monkeypatch):
     assert out.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-4", "two"])
+def test_cmd_simulate_refuses_a_thread_count_below_1(tmp_path, capsys, threads):
+    # a usage error, exit 2, before the config is read or the study runs
+    argv = ["simulate", "--config", str(tmp_path / "missing.json"), "--out",
+            str(tmp_path / "out"), "--threads", threads]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --threads: expected an integer >= 1, got '{threads}'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_simulate_thread_count_invariant(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SIM_DOC))

@@ -174,6 +174,17 @@ def test_sampler_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("prefix, keys", [
+    (("boot",), range(1000)),
+    (("alt", "W(0.5)", "rep"), range(-3, 997)),
+    (("stat",), ["B_3", "KS", "L2_0.25", "", "x\x1fy"]),
+    ((), [0, "0", 1.5]),
+])
+def test_children_are_the_child_streams(prefix, keys):
+    root = RngStream(7, 11).child("alt", "Burr(1,1)", "rep", 3)
+    assert root.children(prefix, keys) == [root.child(*prefix, key) for key in keys]
+
+
 def test_inverse_gaussian_sampler_mean():
     # IG(mu=1, lam=theta) has mean 1; moments confirmed by quadrature
     dist = _dist("inverse_gaussian", dict(mu=1.0, lam=0.5))

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from steinfit.cli import main
-from steinfit.distributions import make_distribution
+import steinfit.simulation as sim
+from steinfit.bootstrap import BootstrapError, bootstrap_replicates, bootstrap_test, decide
+from steinfit.cli import dumps, main
+from steinfit.distributions import RngStream, make_distribution, sample
 from steinfit.gof import StatisticId
 from steinfit.simulation import (
     ConfigError,
@@ -47,13 +49,141 @@ def test_determinism_same_seed_same_report():
 
 
 def test_determinism_across_worker_counts():
-    # 7 replicates of 3 alternatives: the pool's chunks straddle alternatives
+    # 7 replicates of 3 alternatives: two workers split each alternative
+    # into chunks of 2, 2 and 3 replicates
     cfg = small_config(mc_reps=7, alternatives=(("Burr(1,1)", BURR11), ("W(0.5)", W05),
                                                 ("Exp(1)", make_distribution("exponential", lam=1))))
     docs = [run_power_study(cfg, workers=workers).to_dict() for workers in (1, 2)]
     for doc in docs:
         del doc["wall_time_s"]
     assert docs[0] == docs[1]
+
+
+# --------------------------------------------------------------------------
+# chunks of replicates as rows
+# --------------------------------------------------------------------------
+
+# Burr XII(0.05, 0.3) at n = 10: about half of the replicates fail, on the
+# bootstrap's 5% rule
+FLAKY = ("Burr(0.05,0.3)", make_distribution("burr_xii", k=0.05, c=0.3))
+
+
+def one_replicate(cfg, alt_label, alt, rep):
+    """A replicate on its own, through the scalar observed layer of
+    bootstrap_replicates and bootstrap_test: its decisions, or None."""
+    root = RngStream(cfg.seed).child("alt", alt_label, "rep", rep)
+    x = sample(alt, cfg.n, root.child("data"))
+    try:
+        if not cfg.share_bootstrap:
+            return [bootstrap_test(x, cfg.family, stat, cfg.bootstrap_B, cfg.alpha,
+                                   root.child("stat", stat.label)).reject
+                    for stat in cfg.statistics]
+        _, observed, boot, _ = bootstrap_replicates(
+            x, cfg.family, cfg.statistics, cfg.bootstrap_B, lambda b: root.child("boot", b))
+    except (BootstrapError, ValueError):
+        return None
+    return decide(observed, boot, cfg.alpha)[2].tolist()
+
+
+def report_text(cfg, workers=1):
+    doc = run_power_study(cfg, workers=workers).to_dict()
+    del doc["wall_time_s"]
+    return dumps(doc)
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_a_chunk_gives_each_replicate_its_own_decisions(share):
+    cfg = small_config(n=10, mc_reps=12, bootstrap_B=20, share_bootstrap=share,
+                       alternatives=(FLAKY, ("W(0.5)", W05)))
+    failed = []
+    for alt_label, alt in cfg.alternatives:
+        expected = [one_replicate(cfg, alt_label, alt, rep) for rep in range(cfg.mc_reps)]
+        assert sim._run_chunk(cfg, alt_label, alt, range(cfg.mc_reps)) == expected
+        assert sim._run_chunk(cfg, alt_label, alt, range(5, 9)) == expected[5:9]
+        failed.append(expected.count(None))
+    assert 0 < failed[0] < cfg.mc_reps and failed[1] == 0
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_report_independent_of_workers_and_chunk_size(monkeypatch, share):
+    cfg = small_config(n=10, mc_reps=7, bootstrap_B=20, share_bootstrap=share,
+                       alternatives=(FLAKY, ("W(0.5)", W05)))
+    expected = report_text(cfg)
+    assert [c.failures > 0 for c in run_power_study(cfg).cells.values()] == [True] * 2 + [False] * 2
+    for workers in (2, 3):
+        assert report_text(cfg, workers) == expected
+    for size in (1, 3, cfg.mc_reps):
+        monkeypatch.setattr(sim, "_chunks", lambda cfg, workers, size=size: [
+            range(lo, min(lo + size, cfg.mc_reps)) for lo in range(0, cfg.mc_reps, size)])
+        assert report_text(cfg) == expected
+        assert report_text(cfg, 2) == expected
+
+
+def test_chunk_rule():
+    # power_burr's shape: 6 alternatives of 8 replicates on 2 workers give
+    # 2 chunks of 4 per alternative; one worker, one chunk per alternative,
+    # and no chunk holds more than BLOCK_DRAWS draws
+    cfg = small_config(mc_reps=8, alternatives=(("W(0.5)", W05),) * 6)
+    assert sim._chunks(cfg, 2) == [range(0, 4), range(4, 8)]
+    assert sim._chunks(cfg, 1) == [range(0, 8)]
+    assert sim._chunks(small_config(mc_reps=7), 2) == [range(0, 1), range(1, 3), range(3, 5),
+                                                        range(5, 7)]
+    assert sim._chunks(small_config(mc_reps=3), 8) == [range(0, 1), range(1, 2), range(2, 3)]
+    big = small_config(n=sim.BLOCK_DRAWS // 3, mc_reps=10)
+    assert [len(r) for r in sim._chunks(big, 1)] == [2, 3, 2, 3]
+
+
+def test_run_power_study_refuses_fewer_than_one_worker():
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_power_study(small_config(mc_reps=1), workers=workers)
+
+
+@pytest.mark.parametrize("family, stats, poison", [
+    ("burr", (StatisticId("burr_B", a=3.0), StatisticId("ks")), -1.0),
+    ("gamma", (StatisticId("generic_L2", a=1.0), StatisticId("ks")), -1.0),
+    ("normal", (StatisticId("generic_L2", a=1.0), StatisticId("cvm")), None),
+])
+def test_a_refused_observed_fit_fails_its_replicate_alone(monkeypatch, family, stats, poison):
+    cfg = small_config(mc_reps=5, family=family, statistics=stats,
+                       alternatives=(("W(0.5)", W05),))
+    clean = sim._run_chunk(cfg, "W(0.5)", W05, range(5))
+    draw = sim.sample_rows
+
+    def poisoned(dist, n, rngs):
+        X = draw(dist, n, rngs)
+        if poison is None:
+            X[2] = 1.0  # a constant row: the normal fit refuses it
+        else:
+            X[2, 7] = poison  # a value not positive: the Burr and gamma fits refuse it
+        return X
+
+    monkeypatch.setattr(sim, "sample_rows", poisoned)
+    got = sim._run_chunk(cfg, "W(0.5)", W05, range(5))
+    assert clean[2] is not None and got[2] is None
+    assert got[:2] + got[3:] == clean[:2] + clean[3:]
+    report = run_power_study(cfg)
+    assert [c.failures for c in report.cells.values()] == [1, 1]
+
+
+def test_a_non_finite_observed_statistic_fails_its_replicate_alone(monkeypatch):
+    import steinfit.bootstrap as bs
+    cfg = small_config(mc_reps=5, alternatives=(("W(0.5)", W05),))
+    clean = sim._run_chunk(cfg, "W(0.5)", W05, range(5))
+    kernel, calls = bs.replicate_statistics, []
+
+    def inf_in_row_2(family, stats, X, params):
+        out = kernel(family, stats, X, params)
+        if not calls:  # a chunk scores its observed rows first
+            out[2, 1] = math.inf
+        calls.append(X.shape[0])
+        return out
+
+    monkeypatch.setattr(bs, "replicate_statistics", inf_in_row_2)
+    got = sim._run_chunk(cfg, "W(0.5)", W05, range(5))
+    assert calls[0] == 5 and len(calls) == 5  # the observed rows, then 4 blocks
+    assert clean[2] is not None and got[2] is None
+    assert got[:2] + got[3:] == clean[:2] + clean[3:]
 
 
 def test_pool_is_no_larger_than_its_chunks(monkeypatch):
