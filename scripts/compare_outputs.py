@@ -17,10 +17,12 @@ a fresh interpreter with that checkout's ``src`` first on the path:
   every family's draws are compared;
 * ``steinfit test`` with B at a = 1 and ks on 3 samples (n = 80) from
   Burr XII(k = 1, c = 3000), whose fitted c lies past 1e3;
-* ``steinfit simulate`` on seven configs that must be refused with exit 2:
+* ``steinfit simulate`` on nine configs that must be refused with exit 2:
   ``statistics`` or ``alternatives`` a number, a top-level array, a
   statistic name that is a list, an alternative family that is a list or
-  an object, and B_{n,a} under the gamma family;
+  an object, B_{n,a} under the gamma family, an alternative whose
+  ``params`` is an array, and one config with three problems (n = 1, an
+  unknown family and two statistics with one label);
 * ``steinfit verify`` on each of the 18 cases of ``scripts/verify_catalog.py``.
 
 A run that raises is recorded with a null exit code and the traceback as its
@@ -98,6 +100,9 @@ REFUSED = {
     "list_family": dict(SIMULATE["edf"], alternatives=[{"family": ["gamma"]}]),
     "object_family": dict(SIMULATE["edf"], alternatives=[{"family": {"name": "gamma"}}]),
     "B_under_gamma": dict(SIMULATE["weighted_l2"], family="gamma"),
+    "array_params": dict(SIMULATE["edf"], alternatives=[{"family": "half_cauchy", "params": []}]),
+    "three_problems": dict(SIMULATE["edf"], n=1, family="weibull",
+                           statistics=[{"stat": "ks"}, {"stat": "ks"}]),
 }
 
 # Runs the corpus inside one checkout: argv = [checkout, corpus.json, results.json].

@@ -27,6 +27,7 @@ statistic has one formula, whichever sample it fits or scores.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -322,9 +323,10 @@ def bootstrap_test(s, family: str, stat: StatisticId, B: int = 100,
     fails is dropped; more than 5% dropped replicates aborts with a
     BootstrapError.
     """
-    if B < 1:
+    # any integer but a bool, numpy's included
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
         raise ValueError("B must be >= 1")
-    if not 0.0 < alpha < 1.0:
+    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     x = as_values(s)
     reps = rng.children(("rep",), range(1, B + 1))

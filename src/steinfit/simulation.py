@@ -31,7 +31,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .bootstrap import (
     BLOCK_DRAWS,
@@ -44,7 +44,7 @@ from .bootstrap import (
 from .bootstrap import bootstrap_test, evaluate_statistic, fit_family_retry  # noqa: F401
 from .bootstrap import fitted_distribution  # noqa: F401
 from .distributions import sample  # noqa: F401
-from .distributions import DistributionSpec, ParameterError, RngStream, make_distribution, sample_rows
+from .distributions import DistributionSpec, RngStream, make_distribution, sample_rows
 from .gof import STAT_NAMES, STATISTICS, StatisticId
 
 MAX_CELL_FAILURE_FRACTION = 0.05
@@ -71,26 +71,25 @@ class PowerStudyConfig:
     share_bootstrap: bool = True
 
     def validate(self):
+        """Raise ConfigError naming every field that breaks a rule, else
+        return self: the rules hold for a config built in code as for one
+        read from JSON, with the same messages."""
         problems = []
-        if self.n < 2:
-            problems.append("n: must be >= 2")
-        if not 0.0 < self.alpha < 1.0:
-            problems.append("alpha: must lie in (0, 1)")
-        if self.mc_reps < 1:
-            problems.append("mc_reps: must be >= 1")
-        if self.bootstrap_B < 1:
-            problems.append("bootstrap_B: must be >= 1")
-        if not self.statistics:
-            problems.append("statistics: must be non-empty")
-        if not self.alternatives:
-            problems.append("alternatives: must be non-empty")
-        labels = [lbl for lbl, _ in self.alternatives]
-        if len(set(labels)) != len(labels):
-            problems.append("alternatives: labels must be unique")
-        # a report cell and a table column are keyed by the statistic's label
-        labels = [stat.label for stat in self.statistics]
-        if len(set(labels)) != len(labels):
-            problems.append("statistics: labels must be unique")
+        for key, least in (("n", 2), ("mc_reps", 1), ("bootstrap_B", 1)):
+            val = getattr(self, key)
+            if not _is_integer(val) or val < least:
+                problems.append(f"{key}: expected an integer >= {least}, got {val!r}")
+        if not _is_integer(self.seed):
+            problems.append(f"seed: expected an integer, got {self.seed!r}")
+        if not _is_number(self.alpha) or not 0 < self.alpha < 1:
+            problems.append(f"alpha: expected a number in (0, 1), got {self.alpha!r}")
+        # a report cell and a table column are keyed by these labels
+        for key, labels in (("statistics", [stat.label for stat in self.statistics]),
+                            ("alternatives", [lbl for lbl, _ in self.alternatives])):
+            if not labels:
+                problems.append(f"{key}: must be non-empty")
+            elif len(set(labels)) != len(labels):
+                problems.append(f"{key}: labels must be unique")
         if self.family not in FAMILIES:
             problems.append(f"family: expected one of {'/'.join(FAMILIES)}, got {self.family!r}")
         else:
@@ -98,6 +97,8 @@ class PowerStudyConfig:
                 check_statistics(self.family, self.statistics)
             except ValueError as exc:
                 problems.append(f"statistics: {exc}")
+        if not isinstance(self.share_bootstrap, bool):
+            problems.append(f"share_bootstrap: expected a boolean, got {self.share_bootstrap!r}")
         if problems:
             raise ConfigError(problems)
         return self
@@ -106,81 +107,68 @@ class PowerStudyConfig:
 def config_from_dict(doc: dict) -> PowerStudyConfig:
     """Build a validated config from the JSON document schema.
 
-    Collects every field problem before raising so a bad config is reported
-    in one pass.
+    Every problem is reported in one ConfigError: those of the config's
+    rules (``PowerStudyConfig.validate``), then each ``statistics`` or
+    ``alternatives`` entry that cannot be read, then each unknown key.
     """
     if not isinstance(doc, dict):
         raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
     problems = []
 
-    def listfield(key):
-        val = doc.get(key) or []
+    def entries(key, parse):
+        val = doc.get(key, [])
         if not isinstance(val, list):
             problems.append(f"{key}: expected a list, got {val!r}")
-            return []
-        return val
+            return ()
+        out = []
+        for i, entry in enumerate(val):
+            try:
+                out.append(parse(entry))
+            except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
+                problems.append(f"{key}[{i}]: {exc}")
+        return tuple(out)
 
-    def intfield(key, minimum):
-        val = doc.get(key)
-        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-            problems.append(f"{key}: expected an integer >= {minimum}, got {val!r}")
-        return val
-
-    n = intfield("n", 2)
-    mc_reps = intfield("mc_reps", 1)
-    bootstrap_b = intfield("bootstrap_B", 1)
-    seed = doc.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append(f"seed: expected an integer, got {seed!r}")
-    alpha = doc.get("alpha")
-    if not _is_number(alpha) or not 0 < alpha < 1:
-        problems.append(f"alpha: expected a number in (0, 1), got {alpha!r}")
-
-    stats = []
-    for i, entry in enumerate(listfield("statistics")):
-        try:
-            _check_entry(entry, "stat", ("stat", "a"))
-            name = entry["stat"]
-            if not isinstance(name, str) or name not in STAT_NAMES:
-                raise ValueError(f"unknown statistic tag {name!r}; valid tags: "
-                                 f"{', '.join(sorted(STAT_NAMES))}")
-            stats.append(StatisticId(STAT_NAMES[name], a=entry.get("a")))
-        except ValueError as exc:
-            problems.append(f"statistics[{i}]: {exc}")
-    if not stats and not problems:
-        problems.append("statistics: must be non-empty")
-
-    alts = []
-    for i, entry in enumerate(listfield("alternatives")):
-        try:
-            _check_entry(entry, "family", ("family", "params", "label"))
-            if not isinstance(entry["family"], str):
-                raise ValueError(f"family: expected a string, got {entry['family']!r}")
-            params = entry.get("params") or {}
-            if not isinstance(params, dict) or not all(map(_is_number, params.values())):
-                raise ValueError(f"params: expected an object of numbers, got {params!r}")
-            if not isinstance(entry.get("label", ""), str):
-                raise ValueError(f"label: expected a string, got {entry['label']!r}")
-            dist = make_distribution(entry["family"], **params)
-            alts.append((entry.get("label") or dist.label, dist))
-        except (ParameterError, TypeError, ValueError) as exc:
-            problems.append(f"alternatives[{i}]: {exc}")
-    if not alts and not problems:
-        problems.append("alternatives: must be non-empty")
-
-    family = doc.get("family", PowerStudyConfig.family)
-    share = doc.get("share_bootstrap", PowerStudyConfig.share_bootstrap)
-    if not isinstance(share, bool):
-        problems.append(f"share_bootstrap: expected a boolean, got {share!r}")
-
-    for key in sorted(set(doc) - {f.name for f in fields(PowerStudyConfig)}):
-        problems.append(f"{key}: unknown config key")
-
+    values = {f.name: doc.get(f.name, None if f.default is MISSING else f.default)
+              for f in fields(PowerStudyConfig)}
+    values["statistics"] = entries("statistics", _statistic)
+    values["alternatives"] = entries("alternatives", _alternative)
+    # a list that is not one, or whose every entry was refused, is empty for
+    # a reason named already
+    refused = {f"{p.partition(':')[0].partition('[')[0]}: must be non-empty" for p in problems}
+    try:
+        cfg = PowerStudyConfig(**values).validate()
+    except ConfigError as exc:
+        problems[:0] = [p for p in exc.problems if p not in refused]
+    problems += [f"{key}: unknown config key" for key in sorted(set(doc) - set(values))]
     if problems:
         raise ConfigError(problems)
-    return PowerStudyConfig(n=n, alpha=alpha, mc_reps=mc_reps, bootstrap_B=bootstrap_b,
-                            seed=seed, statistics=tuple(stats), alternatives=tuple(alts),
-                            family=family, share_bootstrap=share).validate()
+    return cfg
+
+
+def _statistic(entry) -> StatisticId:
+    _check_entry(entry, "stat", ("stat", "a"))
+    name = entry["stat"]
+    if not isinstance(name, str) or name not in STAT_NAMES:
+        raise ValueError(f"unknown statistic tag {name!r}; valid tags: "
+                         f"{', '.join(sorted(STAT_NAMES))}")
+    return StatisticId(STAT_NAMES[name], a=entry.get("a"))
+
+
+def _alternative(entry) -> tuple[str, DistributionSpec]:
+    _check_entry(entry, "family", ("family", "params", "label"))
+    if not isinstance(entry["family"], str):
+        raise ValueError(f"family: expected a string, got {entry['family']!r}")
+    params = entry.get("params", {})
+    if not isinstance(params, dict) or not all(map(_is_number, params.values())):
+        raise ValueError(f"params: expected an object of numbers, got {params!r}")
+    if not isinstance(entry.get("label", ""), str):
+        raise ValueError(f"label: expected a string, got {entry['label']!r}")
+    dist = make_distribution(entry["family"], **params)
+    return entry.get("label") or dist.label, dist
+
+
+def _is_integer(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _is_number(val) -> bool:

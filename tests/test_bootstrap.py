@@ -178,10 +178,13 @@ def test_evaluate_statistic_guards():
 
 def test_parameter_validation():
     x = burr_data(n=20, seed=1)
-    with pytest.raises(ValueError):
-        bootstrap_test(x, "burr", StatisticId("cvm"), B=0, alpha=0.1, rng=RngStream(1))
-    with pytest.raises(ValueError):
-        bootstrap_test(x, "burr", StatisticId("cvm"), B=10, alpha=1.5, rng=RngStream(1))
+    # a bool is no bootstrap size, and a string no level
+    for B, alpha in [(0, 0.1), (10, 1.5), (True, 0.1), (10.5, 0.1), (10, "0.1")]:
+        with pytest.raises(ValueError, match="B must be >= 1|alpha must lie in"):
+            bootstrap_test(x, "burr", StatisticId("cvm"), B=B, alpha=alpha, rng=RngStream(1))
+    # a numpy integer is an integer
+    assert bootstrap_test(x, "burr", StatisticId("cvm"), B=np.int64(10), alpha=0.1,
+                          rng=RngStream(1)).effective_B == 10
 
 
 def test_replicate_dropped_whole_when_a_later_statistic_fails(monkeypatch):

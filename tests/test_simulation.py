@@ -425,8 +425,15 @@ def test_config_rejects_B_under_another_family(tmp_path, capsys, family):
      "alternatives[0]: family: expected a string, got ['gamma']"),
     (dict(GOOD_DOC, alternatives=[{"family": {"name": "gamma"}}]),
      "alternatives[0]: family: expected a string, got {'name': 'gamma'}"),
+    # a falsy value is no empty list
+    (dict(GOOD_DOC, statistics=0), "statistics: expected a list, got 0"),
+    (dict(GOOD_DOC, statistics=None), "statistics: expected a list, got None"),
+    (dict(GOOD_DOC, alternatives=False), "alternatives: expected a list, got False"),
+    (dict(GOOD_DOC, alternatives=[{"family": "half_cauchy", "params": []}]),
+     "alternatives[0]: params: expected an object of numbers, got []"),
 ], ids=["int-statistics", "int-alternatives", "object-statistics", "top-level-array",
-        "list-stat-name", "list-family", "object-family"])
+        "list-stat-name", "list-family", "object-family", "zero-statistics", "null-statistics",
+        "false-alternatives", "array-params"])
 def test_malformed_config_is_a_schema_error(tmp_path, capsys, doc, problem):
     # a config of the wrong JSON types is named field by field, exit 2, and
     # never ends in a traceback
@@ -438,6 +445,22 @@ def test_malformed_config_is_a_schema_error(tmp_path, capsys, doc, problem):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"config error: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_names_every_problem_in_one_pass(tmp_path, capsys):
+    # a bad n does not hide the rules on the lists and the family
+    doc = dict(GOOD_DOC, n=1, family="weibull", statistics=[{"stat": "ks"}, {"stat": "ks"}])
+    problems = ["n: expected an integer >= 2, got 1", "statistics: labels must be unique",
+                "family: expected one of burr/gamma/normal, got 'weibull'"]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.problems == problems
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "".join(f"config error: {p}\n" for p in problems)
     assert not (tmp_path / "out").exists()
 
 
@@ -464,11 +487,21 @@ def test_config_rejects_alternatives_with_one_label(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_power_study_validates_its_config():
-    # a config built in code, not read from JSON, is validated before any draw
-    with pytest.raises(ConfigError) as err:
-        run_power_study(small_config(n=1, mc_reps=0))
-    assert err.value.problems == ["n: must be >= 2", "mc_reps: must be >= 1"]
+def test_run_power_study_validates_its_config(monkeypatch):
+    # a config built in code, not read from JSON, is held to the same rules,
+    # with the same messages, before any draw
+    monkeypatch.setattr(sim, "_run_chunk", lambda *args: pytest.fail("drew"))
+    for overrides, problems in [
+        (dict(n=1, mc_reps=0), ["n: expected an integer >= 2, got 1",
+                                "mc_reps: expected an integer >= 1, got 0"]),
+        (dict(n=20.5), ["n: expected an integer >= 2, got 20.5"]),
+        (dict(seed="x"), ["seed: expected an integer, got 'x'"]),
+        (dict(share_bootstrap="no"), ["share_bootstrap: expected a boolean, got 'no'"]),
+        (dict(bootstrap_B=True), ["bootstrap_B: expected an integer >= 1, got True"]),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            run_power_study(small_config(**overrides))
+        assert err.value.problems == problems
 
 
 def test_simulate_with_gamma_draws_that_overflow(tmp_path, capsys):
