@@ -33,7 +33,6 @@ def main():
     from steinfit.characterization import (
         QuadratureError,
         check_conditions,
-        default_operator,
         fixed_point_residual,
     )
     from steinfit.distributions import DomainError, make_distribution
@@ -43,7 +42,7 @@ def main():
         dist = make_distribution(family, **kw)
         rep = check_conditions(dist)
         try:
-            residual = f"{fixed_point_residual(dist, default_operator(dist)):.2e}"
+            residual = f"{fixed_point_residual(dist):.2e}"
         except (DomainError, QuadratureError):
             residual = "n/a"
         verdicts = " ".join(f"{k}:{v[0]}" for k, v in rep.verdicts.items())

@@ -10,10 +10,11 @@ of an operator that maps a law to (an expression built from) its own CDF:
 * bounded, left limit:  1 - F(t) = E[ s(X) (R - max{X, t}) ] + (R - t) lim_{x->L} p(x)
 
 Each operator variant is one record of the table ``_IDENTITIES``, which
-every function here reads.  This module evaluates the operators exactly
-(adaptive quadrature against an arbitrary data law), empirically (sample
-averages), and provides numeric evidence for the regularity conditions the
-identities require.
+every function here reads; L, R and the endpoint density limit are those of
+the law the operator is built from.  This module evaluates the operators
+exactly (adaptive quadrature against an arbitrary data law), empirically
+(sample averages), and provides numeric evidence for the regularity
+conditions the identities require.
 """
 
 from __future__ import annotations
@@ -37,19 +38,18 @@ from .distributions import (
 )
 
 # One record per characterization identity.  form: "line" and "min" give
-# F(t), "max" gives 1 - F(t); needs: the boundaries its OperatorKind must
-# carry; limit_at: the endpoint whose density limit it adds; requires: the
-# verdicts that count toward ConditionReport.supported.
-_Identity = namedtuple("_Identity", "form needs limit_at requires")
+# F(t), "max" gives 1 - F(t); needs: the support ends it uses, which must be
+# finite; limit_at: the endpoint whose density limit it adds.  The density
+# must vanish at the far end (left for line and max, right for min) unless
+# the identity adds its limit there: limit_at is always that end.
+_Identity = namedtuple("_Identity", "form needs limit_at")
 _IDENTITIES = {
-    "real_line": _Identity("line", (), None, ("c2", "c3")),
-    "positive_axis_min": _Identity("min", (), None, ("c2", "c3", "c4")),
-    "lower_bounded_min": _Identity("min", ("left",), None, ("c2", "c3", "c4")),
-    "upper_bounded_max": _Identity("max", ("right",), None, ("c2", "c3", "c5")),
-    "bounded_right_limit": _Identity("min", ("left", "right"), "right",
-                                     ("c2", "c3", "c4", "c5", "boundary")),
-    "bounded_left_limit": _Identity("max", ("left", "right"), "left",
-                                    ("c2", "c3", "c4", "c5", "boundary")),
+    "real_line": _Identity("line", (), None),
+    "positive_axis_min": _Identity("min", ("left",), None),  # L = 0
+    "lower_bounded_min": _Identity("min", ("left",), None),
+    "upper_bounded_max": _Identity("max", ("right",), None),
+    "bounded_right_limit": _Identity("min", ("left", "right"), "right"),
+    "bounded_left_limit": _Identity("max", ("left", "right"), "left"),
 }
 VARIANTS = tuple(_IDENTITIES)
 
@@ -65,49 +65,25 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """Which characterization identity applies, plus its boundary data."""
+    """Which characterization identity applies.  Its boundaries and endpoint
+    density limit are facts of the law it is applied to."""
 
     variant: str
-    left: float | None = None
-    right: float | None = None
-    boundary_density_limit: float | None = None
 
     def __post_init__(self):
         if self.variant not in _IDENTITIES:
             raise ValueError(f"unknown operator variant '{self.variant}'")
-        for side in _IDENTITIES[self.variant].needs:
-            if getattr(self, side) is None:
-                raise ValueError(f"variant '{self.variant}' requires a {side} boundary")
-        if self.boundary_density_limit is not None and not self.boundary_density_limit >= 0:
-            raise ValueError("boundary_density_limit must be >= 0")
 
 
-def default_operator(dist: DistributionSpec, strict: bool = True) -> OperatorKind:
-    """Pick the operator variant matching the support shape of ``dist``.
-
-    Bounded supports use the right-limit identity.  With ``strict`` the
-    endpoint density limit must exist finite, otherwise a DomainError is
-    raised; ``strict=False`` leaves the limit unset so diagnostics can still
-    run and report the failure.
-    """
+def default_operator(dist: DistributionSpec) -> OperatorKind:
+    """Pick the operator variant matching the support shape of ``dist``;
+    bounded supports use the right-limit identity."""
     sup = dist.support
-    if not sup.bounded_below and not sup.bounded_above:
-        return OperatorKind("real_line")
-    if sup.bounded_below and not sup.bounded_above:
-        if sup.left == 0.0:
-            return OperatorKind("positive_axis_min")
-        return OperatorKind("lower_bounded_min", left=sup.left)
-    if not sup.bounded_below and sup.bounded_above:
-        return OperatorKind("upper_bounded_max", right=sup.right)
-    rho = boundary_density_limit(dist, "right")
-    if not math.isfinite(rho):
-        if strict:
-            raise DomainError(
-                f"{dist.label}: density has no finite limit at the right endpoint; "
-                "the bounded-support characterization does not apply")
-        rho = None
-    return OperatorKind("bounded_right_limit", left=sup.left, right=sup.right,
-                        boundary_density_limit=rho)
+    if not sup.bounded_below:
+        return OperatorKind("upper_bounded_max" if sup.bounded_above else "real_line")
+    if not sup.bounded_above:
+        return OperatorKind("positive_axis_min" if sup.left == 0.0 else "lower_bounded_min")
+    return OperatorKind("bounded_right_limit")
 
 
 # --------------------------------------------------------------------------
@@ -155,49 +131,58 @@ def exact_T(dist: DistributionSpec, kind: OperatorKind | None, t: float,
     under a different data law; away from the fixed point the result differs
     from that law's CDF.  The returned value is always on the CDF scale.
     """
-    kind, law, a, b, weighted = _operator_setup(dist, kind, under, t=t)
-    identity = _IDENTITIES[kind.variant]
+    form, rho, law, weighted = _operator_setup(dist, kind, under, t=t)
+    L, R = dist.support.left, dist.support.right
+    a, b = law.support.left, law.support.right
     brk = [t, *dist.support.knots, *law.support.knots]
 
-    if identity.form == "line":
+    if form == "line":
         return _quad(lambda x: weighted(x, t - x), a, min(t, b), brk, quad_tol)
-
-    if identity.form == "min":
-        L = 0.0 if kind.variant == "positive_axis_min" else kind.left
-        val = _quad(lambda x: weighted(x, -(min(x, t) - L)), a, b, brk, quad_tol)
-        if identity.limit_at:
-            val += (t - L) * kind.boundary_density_limit
-        return val
-
+    if form == "min":
+        return _quad(lambda x: weighted(x, -(min(x, t) - L)), a, b, brk, quad_tol) + (t - L) * rho
     # max-type variants characterize 1 - F(t); convert to the CDF scale
-    R = kind.right
-    val = _quad(lambda x: weighted(x, R - max(x, t)), a, b, brk, quad_tol)
-    if identity.limit_at:
-        val += (R - t) * kind.boundary_density_limit
-    return 1.0 - val
+    return 1.0 - (_quad(lambda x: weighted(x, R - max(x, t)), a, b, brk, quad_tol) + (R - t) * rho)
 
 
 def _operator_setup(dist, kind, under, **points):
-    """The operator (dist's default when None), data law, its support's ends
-    and weighted score; DomainError for a point outside dist's open support
-    or a bounded operator without its identity's endpoint density limit."""
+    """The identity's form, the endpoint density limit it adds (0 when it
+    adds none), the data law and the weighted score.  DomainError for a point
+    outside dist's open support, a data law whose support is not inside
+    dist's, an operator the law cannot carry (see _resolve), or an endpoint
+    density limit that is not finite."""
     _check_interior(dist, **points)
-    kind = _resolve(dist, kind)
-    if _IDENTITIES[kind.variant].limit_at and kind.boundary_density_limit is None:
-        raise DomainError(f"{kind.variant} operator needs a finite endpoint density limit")
     law = under if under is not None else dist
-    return kind, law, law.support.left, law.support.right, _weighted_score(dist, law)
+    _check_contained(dist, law)
+    identity = _IDENTITIES[_resolve(dist, kind).variant]
+    side = identity.limit_at
+    rho = boundary_density_limit(dist, side) if side else 0.0
+    if not math.isfinite(rho):
+        raise DomainError(f"{dist.label}: density has no finite limit at the {side} endpoint; "
+                          "the bounded-support characterization does not apply")
+    return identity.form, rho, law, _weighted_score(dist, law)
 
 
-def _resolve(dist, kind, strict=True):
+def _resolve(dist, kind):
     """kind, or dist's default operator when None; DomainError naming both
-    when a boundary kind's identity uses is not that end of dist's support."""
-    kind = kind or default_operator(dist, strict)
+    when the law lacks a finite end the identity uses, or when the
+    positive-axis identity meets a left end that is not 0."""
+    kind = kind or default_operator(dist)
+    sup = dist.support
     for side in _IDENTITIES[kind.variant].needs:
-        if getattr(kind, side) != getattr(dist.support, side):
-            raise DomainError(f"{kind.variant} operator's {side} boundary {getattr(kind, side)} is "
-                              f"not the {side} end {getattr(dist.support, side)} of {dist.label}")
+        if not math.isfinite(getattr(sup, side)):
+            raise DomainError(f"{kind.variant} operator needs a finite {side} end, "
+                              f"which {dist.label} lacks")
+    if kind.variant == "positive_axis_min" and sup.left != 0.0:
+        raise DomainError(f"{kind.variant} operator needs the left end 0, "
+                          f"not the left end {sup.left} of {dist.label}")
     return kind
+
+
+def _check_contained(dist, law):
+    """DomainError when law's support is not contained in dist's support."""
+    if law.support.left < dist.support.left or law.support.right > dist.support.right:
+        raise DomainError(f"the support of {law.label} is not contained in "
+                          f"the support of {dist.label}")
 
 
 def _weighted_score(dist, law):
@@ -218,17 +203,13 @@ def density_identity(dist: DistributionSpec, t: float, kind: OperatorKind | None
 
     Under dist's own law this equals pdf(dist, t) within quadrature error.
     """
-    kind, law, a, b, weighted = _operator_setup(dist, kind, under, t=t)
-    identity = _IDENTITIES[kind.variant]
+    form, rho, law, weighted = _operator_setup(dist, kind, under, t=t)
+    a, b = law.support.left, law.support.right
     brk = [*dist.support.knots, *law.support.knots]
 
-    if identity.form == "min":
-        val = _quad(lambda x: weighted(x, -1.0), max(t, a), b, brk, quad_tol)
-    else:
-        val = _quad(lambda x: weighted(x, 1.0), a, min(t, b), brk, quad_tol)
-    if identity.limit_at:
-        val += kind.boundary_density_limit
-    return val
+    if form == "min":
+        return _quad(lambda x: weighted(x, -1.0), max(t, a), b, brk, quad_tol) + rho
+    return _quad(lambda x: weighted(x, 1.0), a, min(t, b), brk, quad_tol) + rho
 
 
 def fixed_point_residual(dist: DistributionSpec, kind: OperatorKind | None = None,
@@ -238,7 +219,7 @@ def fixed_point_residual(dist: DistributionSpec, kind: OperatorKind | None = Non
 
     Zero (up to quadrature error) exactly when the data law is dist itself.
     """
-    kind, law, *_ = _operator_setup(dist, kind, under)
+    _, _, law, _ = _operator_setup(dist, kind, under)
     if grid is None:
         grid = quantile(law, np.linspace(0.01, 0.99, 50))
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -366,8 +347,7 @@ def stein_expectation(dist: DistributionSpec, candidate: DistributionSpec, t: fl
     function, so the computation is an end-to-end numeric check: the result
     must equal cdf(candidate, t) - cdf(dist, t).
     """
-    if candidate.support.left < dist.support.left or candidate.support.right > dist.support.right:
-        raise DomainError("candidate support must be contained in dist's support")
+    _check_contained(dist, candidate)
     _check_interior(dist, t=t)
 
     def integrand(x):
@@ -466,12 +446,13 @@ def check_conditions(dist: DistributionSpec, grid_size: int = 400,
 
     Reports the grid supremum of kappa(x) = |score(x)| min{P, 1-P} / p(x),
     the score-weighted integral with endpoint divergence detection, the
-    endpoint CDF/density ratio limits, and (for bounded supports) whether the
-    endpoint density limit exists.  Inconclusive numerics count as failures.
+    CDF/density ratio limits at the ends the identity uses, and the density
+    limit at its far end.  ``supported`` is true when no verdict fails;
+    inconclusive numerics count as failures.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")
-    kind = _resolve(dist, kind, strict=False)
+    kind = _resolve(dist, kind)
     sup = dist.support
     identity = _IDENTITIES[kind.variant]
     rep = ConditionReport(family=dist.family, params=dist.param_dict, variant=kind.variant)
@@ -510,22 +491,25 @@ def check_conditions(dist: DistributionSpec, grid_size: int = 400,
     rep.c3_integral, c3_ok = _c3_integral(dist, c3_integrand)
     rep.verdicts["c3"] = "pass" if c3_ok else "fail"
 
-    # --- C4 / C5: the CDF(density) ratio must vanish at the left / right
-    # endpoint; boundary: the density limit the identity adds must exist
-    # (a stabilized limit is always finite)
+    # --- C4 / C5: the CDF(density) ratio must vanish at each end the
+    # identity uses; boundary: the density must vanish at the identity's far
+    # end, or have a limit there where the identity adds it (a stabilized
+    # limit is always finite)
+    far = "right" if identity.form == "min" else "left"
     for cond, side, fn, ceiling in (
             ("c4", "left", lambda x: _ratio_cdf_over_pdf(dist, x, "left"), LIMIT_ZERO_TOL),
             ("c5", "right", lambda x: _ratio_cdf_over_pdf(dist, x, "right"), LIMIT_ZERO_TOL),
-            ("boundary", identity.limit_at, lambda x: pdf(dist, x), math.inf)):
-        endpoint = sup.left if side == "left" else sup.right
-        if cond not in identity.requires or not math.isfinite(endpoint):
+            ("boundary", far, lambda x: pdf(dist, x),
+             math.inf if identity.limit_at else LIMIT_ZERO_TOL)):
+        endpoint = getattr(sup, side)
+        if not (cond == "boundary" or side in identity.needs) or not math.isfinite(endpoint):
             rep.verdicts[cond] = "not_applicable"
             continue
         limit, stable = _extrapolate_limit(_endpoint_sequence(dist, endpoint, side, fn))
         setattr(rep, f"{cond}_limit", limit)
         rep.verdicts[cond] = "pass" if stable and abs(limit) <= ceiling else "fail"
 
-    rep.supported = all(rep.verdicts[c] == "pass" for c in identity.requires)
+    rep.supported = "fail" not in rep.verdicts.values()
     return rep
 
 

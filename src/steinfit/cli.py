@@ -23,7 +23,7 @@ import os
 import sys
 
 from .bootstrap import FAMILIES, BootstrapError, bootstrap_test
-from .characterization import QuadratureError, check_conditions, default_operator, fixed_point_residual
+from .characterization import QuadratureError, check_conditions, fixed_point_residual
 from .distributions import DomainError, RngStream, make_distribution
 from .gof import STAT_NAMES, STATISTICS, StatisticId
 from .simulation import ConfigError, config_from_dict, config_hash, render_table, run_power_study
@@ -220,8 +220,7 @@ def _cmd_verify(args) -> int:
     residual = None
     residual_note = ""
     try:
-        kind = default_operator(dist)
-        residual = fixed_point_residual(dist, kind, quad_tol=args.quad_tol)
+        residual = fixed_point_residual(dist, quad_tol=args.quad_tol)
     except DomainError as exc:
         residual_note = str(exc)
     except QuadratureError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,12 +121,12 @@ def test_fixed_point_of_the_max_type_bounded_operators():
     beta12 = make_distribution("beta", alpha=1.0, beta=2.0)
     rho = boundary_density_limit(beta12, "left")
     assert rho == pytest.approx(2.0, rel=1e-14)
-    kind = OperatorKind("bounded_left_limit", left=0.0, right=1.0, boundary_density_limit=rho)
+    kind = OperatorKind("bounded_left_limit")
     assert exact_T(beta12, kind, 0.3) == pytest.approx(cdf(beta12, 0.3), abs=1e-9)
     assert fixed_point_residual(beta12, kind) < 1e-9
     # beta(2, 3) vanishes at 0, so the max-type operator needs no boundary term
     beta23 = make_distribution("beta", alpha=2.0, beta=3.0)
-    kind = OperatorKind("upper_bounded_max", right=1.0)
+    kind = OperatorKind("upper_bounded_max")
     assert exact_T(beta23, kind, 0.3) == pytest.approx(cdf(beta23, 0.3), abs=1e-9)
     assert fixed_point_residual(beta23, kind) < 1e-9
 
@@ -133,28 +134,33 @@ def test_fixed_point_of_the_max_type_bounded_operators():
 @pytest.mark.parametrize("variant", ["bounded_right_limit", "bounded_left_limit"])
 @pytest.mark.parametrize("identity", [exact_T, density_identity])
 def test_bounded_operator_without_its_endpoint_limit_is_a_domain_error(variant, identity):
-    # both identities carry the endpoint density limit; built without it, the
-    # operator is refused the same way by each
-    kind = OperatorKind(variant, left=0.0, right=1.0)
-    beta23 = make_distribution("beta", alpha=2.0, beta=3.0)
-    with pytest.raises(DomainError, match=f"{variant} operator needs a finite endpoint density"):
-        identity(beta23, t=0.3, kind=kind)
+    # both identities carry the endpoint density limit, read from the law; the
+    # arcsine density has none at either end, so each refuses the operator
+    # with the message steinfit verify prints
+    side = "right" if variant == "bounded_right_limit" else "left"
+    with pytest.raises(DomainError, match=f"^beta\\(0.5,0.5\\): density has no finite limit at "
+                                          f"the {side} endpoint; the bounded-support"):
+        identity(ARCSINE, t=0.3, kind=OperatorKind(variant))
 
 
 BETA23 = make_distribution("beta", alpha=2.0, beta=3.0)
+BETA12 = make_distribution("beta", alpha=1.0, beta=2.0)
+ARCSINE = make_distribution("beta", alpha=0.5, beta=0.5)
+NORMAL = make_distribution("normal", mu=0.0, sigma2=1.0)
+SHIFTED_GAMMA = make_distribution("shifted_gamma", k=2.0, lam=1.0, mu=1.0)
 
 # one law per characterization identity, with the verdicts that identity requires
 IDENTITY_ROWS = [
-    (make_distribution("normal", mu=0.0, sigma2=1.0), None, "real_line", {"c2", "c3"}),
+    (NORMAL, None, "real_line", {"c2", "c3"}),
     (EXP1, None, "positive_axis_min", {"c2", "c3", "c4"}),
-    (make_distribution("shifted_gamma", k=2.0, lam=1.0, mu=1.0), None, "lower_bounded_min",
-     {"c2", "c3", "c4"}),
-    (BETA23, OperatorKind("upper_bounded_max", right=1.0), "upper_bounded_max",
-     {"c2", "c3", "c5"}),
+    (SHIFTED_GAMMA, None, "lower_bounded_min", {"c2", "c3", "c4"}),
+    # the left end 0 of beta(2, 3) is the max form's far end, so its density
+    # must vanish there
+    (BETA23, OperatorKind("upper_bounded_max"), "upper_bounded_max",
+     {"c2", "c3", "c5", "boundary"}),
     (BETA23, None, "bounded_right_limit", {"c2", "c3", "c4", "c5", "boundary"}),
-    (make_distribution("beta", alpha=1.0, beta=2.0),
-     OperatorKind("bounded_left_limit", left=0.0, right=1.0, boundary_density_limit=2.0),
-     "bounded_left_limit", {"c2", "c3", "c4", "c5", "boundary"}),
+    (BETA12, OperatorKind("bounded_left_limit"), "bounded_left_limit",
+     {"c2", "c3", "c4", "c5", "boundary"}),
 ]
 
 
@@ -177,8 +183,7 @@ def test_every_identity_reproduces_its_law(dist, kind, variant, required):
 @pytest.mark.parametrize("dist,kind,t", [
     (EXP1, None, -1.0),
     (EXP1, None, 0.0),
-    (make_distribution("beta", alpha=1.0, beta=2.0),
-     OperatorKind("bounded_left_limit", left=0.0, right=1.0, boundary_density_limit=2.0), -0.5),
+    (BETA12, OperatorKind("bounded_left_limit"), -0.5),
     (BETA23, None, 1.5),
     (make_distribution("normal", mu=0.0, sigma2=1.0), None, math.inf),
 ], ids=["exp1_below", "exp1_at_left_end", "beta12_left_limit_below", "beta23_above",
@@ -304,63 +309,96 @@ def test_condition_report_serializes():
     json.dumps(doc)
 
 
-# the boundaries each operator variant needs
-NEEDED_BOUNDARIES = {
-    "real_line": (),
-    "positive_axis_min": (),
-    "lower_bounded_min": ("left",),
-    "upper_bounded_max": ("right",),
-    "bounded_right_limit": ("left", "right"),
-    "bounded_left_limit": ("left", "right"),
-}
-
-
 def test_operator_kind_validation():
-    assert tuple(NEEDED_BOUNDARIES) == VARIANTS
-    full = dict(left=0.0, right=1.0)
-    for variant, needs in NEEDED_BOUNDARIES.items():
-        assert OperatorKind(variant, **full).variant == variant
-        assert OperatorKind(variant, **{side: full[side] for side in needs}).variant == variant
-        for side in needs:
-            other = {s: v for s, v in full.items() if s != side}
-            with pytest.raises(ValueError, match=f"variant '{variant}' requires a {side} boundary"):
-                OperatorKind(variant, **other)
-        with pytest.raises(ValueError, match="boundary_density_limit must be >= 0"):
-            OperatorKind(variant, **full, boundary_density_limit=-1.0)
+    # a variant is the whole operator: the law supplies L, R and the limit
+    assert [f.name for f in dataclasses.fields(OperatorKind)] == ["variant"]
+    for variant in VARIANTS:
+        assert OperatorKind(variant).variant == variant
     with pytest.raises(ValueError, match="unknown operator variant 'nosuch'"):
         OperatorKind("nosuch")
-    with pytest.raises(DomainError):
-        default_operator(make_distribution("beta", alpha=0.5, beta=0.5))
+    # the arcsine law keeps its default operator; using it is what fails
+    assert default_operator(ARCSINE) == OperatorKind("bounded_right_limit")
 
 
 def test_required_conditions_come_from_the_variant_not_the_boundaries_passed():
-    # a right boundary on the positive-axis operator adds no condition: the
-    # min-type identity needs c4 only, so Exp(1) stays supported
-    rep = check_conditions(EXP1, kind=OperatorKind("positive_axis_min", right=5.0))
+    # the min form's far end is R: infinite for Exp(1), so only c4 is added
+    rep = check_conditions(EXP1, kind=OperatorKind("positive_axis_min"))
     assert rep.verdicts["c5"] == "not_applicable"
     assert rep.verdicts["boundary"] == "not_applicable"
     assert rep.supported
+    # a finite far end where the density does not vanish fails the identity:
+    # exact_T is off by up to 1.61 (real_line on Exp(1)) and 0.80 (uniform)
+    for dist, variant, limit in ((EXP1, "real_line", 1.0),
+                                 (UNIFORM, "positive_axis_min", 1.0),
+                                 (BETA12, "upper_bounded_max", 2.0)):
+        rep = check_conditions(dist, kind=OperatorKind(variant))
+        assert rep.verdicts["boundary"] == "fail"
+        assert rep.boundary_limit == pytest.approx(limit, rel=1e-6)
+        assert not rep.supported
 
 
-@pytest.mark.parametrize("kind, message", [
-    (OperatorKind("lower_bounded_min", left=0.5), "left boundary 0.5 is not the left end 0.0"),
-    (OperatorKind("upper_bounded_max", right=3.0), "right boundary 3.0 is not the right end inf"),
-], ids=["lower_bounded_min_left_inside", "upper_bounded_max_right_finite"])
-def test_identities_refuse_a_boundary_that_is_not_the_support_end(kind, message):
-    # on Exp(1) at t = 1 these gave 0.132 and 2.632 where F(1) = 0.632
-    for call in (lambda: exact_T(EXP1, kind, 1.0), lambda: density_identity(EXP1, 1.0, kind),
-                 lambda: fixed_point_residual(EXP1, kind)):
-        with pytest.raises(DomainError,
-                           match=f"{kind.variant} operator's {message} of exponential\\(1\\)$"):
+# laws that cannot carry an operator: each lacks a finite end the identity
+# uses, or (positive_axis_min) has a left end that is not 0
+REFUSED = [
+    (NORMAL, "lower_bounded_min", "needs a finite left end, which normal\\(0,1\\) lacks"),
+    (EXP1, "upper_bounded_max", "needs a finite right end, which exponential\\(1\\) lacks"),
+    (EXP1, "bounded_right_limit", "needs a finite right end, which exponential\\(1\\) lacks"),
+    (SHIFTED_GAMMA, "positive_axis_min",
+     "needs the left end 0, not the left end 1.0 of shifted_gamma\\(2,1,1\\)"),
+]
+REFUSED_IDS = ["lower_bounded_min_on_normal", "upper_bounded_max_on_exponential",
+               "bounded_right_limit_on_exponential", "positive_axis_min_on_shifted_gamma"]
+
+
+@pytest.mark.parametrize("dist, variant, message", REFUSED, ids=REFUSED_IDS)
+def test_identities_refuse_a_boundary_that_is_not_the_support_end(dist, variant, message):
+    # positive_axis_min on shifted_gamma(2, 1, 1) was evaluated at L = 0
+    kind = OperatorKind(variant)
+    t = float(quantile(dist, 0.5))
+    for call in (lambda: exact_T(dist, kind, t), lambda: density_identity(dist, t, kind),
+                 lambda: fixed_point_residual(dist, kind)):
+        with pytest.raises(DomainError, match=f"^{variant} operator {message}$"):
             call()
 
 
 def test_check_conditions_refuses_a_boundary_that_is_not_the_support_end():
-    # it reported supported False without naming the mismatch
-    kind = OperatorKind("bounded_right_limit", left=0, right=1, boundary_density_limit=1)
-    with pytest.raises(DomainError, match="bounded_right_limit operator's right boundary 1 "
-                                          "is not the right end inf of exponential\\(1\\)$"):
-        check_conditions(EXP1, kind=kind)
+    for dist, variant, message in REFUSED:
+        with pytest.raises(DomainError, match=f"^{variant} operator {message}$"):
+            check_conditions(dist, kind=OperatorKind(variant))
+
+
+def test_identities_refuse_a_data_law_outside_the_support():
+    # exact_T failed inside the quadrature and density_identity returned 0.1587
+    for call in (lambda: exact_T(EXP1, None, 1.0, under=NORMAL),
+                 lambda: density_identity(EXP1, 1.0, under=NORMAL),
+                 lambda: fixed_point_residual(EXP1, under=NORMAL)):
+        with pytest.raises(DomainError, match="^the support of normal\\(0,1\\) is not contained "
+                                              "in the support of exponential\\(1\\)$"):
+            call()
+
+
+MATRIX_LAWS = [NORMAL, EXP1, make_distribution("gamma", k=2.0, lam=1.0), SHIFTED_GAMMA,
+               BETA23, BETA12, UNIFORM]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dist", MATRIX_LAWS, ids=[d.label for d in MATRIX_LAWS])
+def test_a_supported_identity_reproduces_its_law(dist, variant):
+    # every pair is either refused, or reported unsupported, or holds
+    kind = OperatorKind(variant)
+    try:
+        rep = check_conditions(dist, kind=kind)
+    except DomainError:
+        for identity in (exact_T, density_identity):
+            with pytest.raises(DomainError):
+                identity(dist, t=float(quantile(dist, 0.5)), kind=kind)
+        return
+    if not rep.supported:
+        return
+    for u in (0.2, 0.5, 0.8):
+        t = float(quantile(dist, u))
+        assert exact_T(dist, kind, t) == pytest.approx(cdf(dist, t), abs=1e-8)
+        assert density_identity(dist, t, kind) == pytest.approx(pdf(dist, t), abs=1e-8)
 
 
 @pytest.mark.parametrize("theta", [1000.0, 0.01])
