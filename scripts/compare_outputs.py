@@ -17,6 +17,13 @@ a fresh interpreter with that checkout's ``src`` first on the path:
   every family's draws are compared;
 * ``steinfit test`` with B at a = 1 and ks on 3 samples (n = 80) from
   Burr XII(k = 1, c = 3000), whose fitted c lies past 1e3;
+* ``steinfit test`` with L2 at a = 1 (B = 20) on 11 samples (n = 30) that
+  a fit refuses or cannot settle, so that each refusal's text and exit code
+  is compared: a constant sample under burr, gamma and normal; a negative
+  value under gamma and a zero under burr; normal data near 1e200 and gamma
+  data near 1e300 (the moments overflow) and near 2e154 (the shape
+  overflows); Burr data near 1e-200 (k is not finite), near 1e300 (every
+  replicate fails, exit 3) and 1 + 1e-9 i (the fit does not converge, exit 3);
 * ``steinfit simulate`` on nine configs that must be refused with exit 2:
   ``statistics`` or ``alternatives`` a number, a top-level array, a
   statistic name that is a list, an alternative family that is a list or
@@ -72,6 +79,21 @@ CLOSE_FIELDS = ("statistic_value", "critical_value")
 # them, tested with each of EDGE_STATS: their fitted c lies past 1e3
 EDGE_C, EDGE_N, EDGE_DATASETS = 3000.0, 80, 3
 EDGE_STATS = [("B", 1.0), ("ks", None)]
+_U = np.random.default_rng([2024, 99]).uniform(1.0, 2.0, 30)
+# name -> (family, data): samples the family's fit refuses or cannot settle
+UNFITTABLE = {
+    "constant_burr": ("burr", np.full(30, 2.0)),
+    "constant_gamma": ("gamma", np.full(30, 2.0)),
+    "constant_normal": ("normal", np.full(30, 2.0)),
+    "negative_gamma": ("gamma", np.where(np.arange(30) == 7, -1.0, _U)),
+    "zero_burr": ("burr", np.where(np.arange(30) == 7, 0.0, _U)),
+    "normal_1e200": ("normal", (2.0 * _U - 3.0) * 1e200),
+    "gamma_1e300": ("gamma", _U * 1e300),
+    "gamma_2e154": ("gamma", (1.0 + 0.01 * (_U - 1.0)) * 2e154),
+    "burr_1e-200": ("burr", _U * 1e-200),
+    "burr_1e300": ("burr", _U * 1e300),
+    "burr_near_constant": ("burr", 1.0 + 1e-9 * np.arange(30.0)),
+}
 BURR_ALTERNATIVES = [
     {"family": "burr_xii", "params": {"k": 1, "c": 1}, "label": "BurrXII(1,1)"},
     {"family": "weibull", "params": {"k": 0.5, "lam": 1}, "label": "W(0.5)"},
@@ -163,15 +185,16 @@ def draw_edge(index: int) -> np.ndarray:
 
 
 def cli_test_runs(work: str, name: str, family: str, data: np.ndarray, stats,
-                  index: int) -> list:
-    """``steinfit test`` runs of each of ``stats`` on ``data``, seeded by ``index``."""
+                  index: int, b: int = B) -> list:
+    """``steinfit test`` runs (``b`` replicates) of each of ``stats`` on
+    ``data``, seeded by ``index``."""
     path = os.path.join(work, f"{name}_{index}.txt")
     with open(path, "w") as fh:
         fh.write("".join(f"{float(v)!r}\n" for v in data))
     runs = []
     for stat, a in stats:
         argv = ["test", "--data", path, "--family", family, "--stat", stat,
-                "--B", str(B), "--seed", str(index)]
+                "--B", str(b), "--seed", str(index)]
         if a is not None:
             argv += ["--a", str(a)]
         group = f"{name}/{stat}" + ("" if a is None else f"_{a:g}")
@@ -186,6 +209,8 @@ def build_corpus(work: str) -> list:
             corpus += cli_test_runs(work, family, family, draw(family, index), stats, index)
     for index in range(EDGE_DATASETS):
         corpus += cli_test_runs(work, "burr_edge", "burr", draw_edge(index), EDGE_STATS, index)
+    for name, (family, data) in UNFITTABLE.items():
+        corpus += cli_test_runs(work, f"unfittable_{name}", family, data, [("L2", 1.0)], 1, b=20)
     for name, doc in SIMULATE.items():
         cfg = os.path.join(work, f"{name}.json")
         with open(cfg, "w") as fh:

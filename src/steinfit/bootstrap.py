@@ -98,8 +98,8 @@ class _Family:
     operator: str  # the unit law's operator variant: positive_axis_min or real_line
     params: tuple  # the names of the fit's parameters, in order
     fit: Callable  # sample -> FitResult
-    # (X, start) -> (an array per parameter, in order; rows fitted), where
-    # start is the law the rows were drawn from, or None for the scalar fit's start
+    # (X, start) -> (an array per parameter, in order; each row's reason, "" if fitted; its
+    # steps), where start is the law the rows were drawn from, or None for the scalar fit's start
     fit_rows: Callable
     unit: Callable  # fit params -> (shift, scale, params of the unit law)
 
@@ -271,7 +271,8 @@ def bootstrap_rows(X: np.ndarray, family: str, stats, streams: Callable[[int], l
     fails.  A row's result does not depend on the other rows.
     """
     rec = _family(family)
-    *values, ok = rec.fit_rows(X, None)
+    *values, reason, _ = rec.fit_rows(X, None)
+    ok = reason == ""
     params = dict(zip(rec.params, values))
     observed = replicate_statistics(family, stats, np.sort(X[ok], axis=1),
                                     {name: v[ok] for name, v in params.items()})
@@ -302,7 +303,8 @@ def bootstrap_block(family: str, stats, fitted: DistributionSpec, n: int, stream
     rows = max(1, BLOCK_DRAWS // n)
     for first in range(0, B, rows):
         draws = sample_rows(fitted, n, streams[first:first + rows])
-        *values, ok = rec.fit_rows(draws, fitted.param_dict)
+        *values, reason, _ = rec.fit_rows(draws, fitted.param_dict)
+        ok = reason == ""
         block = replicate_statistics(family, stats, np.sort(draws[ok], axis=1),
                                      {name: v[ok] for name, v in zip(rec.params, values)})
         blocks.append(block[np.all(np.isfinite(block), axis=1)])

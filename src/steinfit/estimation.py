@@ -1,19 +1,18 @@
 """Parameter estimators backing the bootstrap tests.
 
-Each estimator has a scalar fit, which takes one sample and raises FitError
-on a sample it cannot fit, and a row fit, which takes any matrix and returns
-one array per parameter and the rows it fitted; a row is refused exactly
-where the scalar fit raises FitError (or, for Burr, does not converge).
+Each estimator is a row fit, the one statement of its rules: it returns one
+array per parameter, each row's reason ("" once fitted; on a refused row, NaN
+parameters and the first rule it breaks) and each row's iteration steps.  Its
+scalar fit is the one-row case, ``_one_row``; ``message`` is the row's reason.
 
 * burr_mle_rows   -- profile maximum likelihood for the Burr XII (k, c) pair
                      (scale fixed at 1) of every row at once; the k direction
                      has a closed-form stationary point, leaving a safeguarded
                      Newton iteration in log c on one bracket, C_BRACKET.
-* burr_mle        -- the same estimator on one sample, as its one-row case.
-* gamma_fit_rows  -- method of moments; exactly scale equivariant (lam) and
-                     scale invariant (k).
+* gamma_fit_rows  -- method of moments; scale equivariant (lam) and scale
+                     invariant (k).
 * normal_fit_rows -- sample mean and variance with divisor n.
-* gamma_fit, normal_fit -- their one-row cases.
+* burr_mle, gamma_fit, normal_fit -- their one-row cases.
 * moments_rows    -- the mean and variance of both moment fits, row-wise.
 
 A scalar fit's ``loglik`` is the catalog log-likelihood of the fitted law,
@@ -46,6 +45,32 @@ class FitResult:
         return {**vars(self), "params": dict(self.params)}
 
 
+def _one_row(rows, name: str, law: str, names: tuple, s) -> FitResult:
+    """Sample ``s`` as row 0 of the row fit ``rows``: FitError with its reason
+    where it is refused, else the fit of the catalog ``law`` whose parameters are ``names``."""
+    x = as_values(s)
+    if x.size < 2:
+        raise FitError(f"{name} needs at least 2 observations")
+    *values, (reason,), (steps,) = rows(x[None])
+    if math.isnan(values[0][0]):
+        raise FitError(reason)
+    params = {p: float(v[0]) for p, v in zip(names, values)}
+    return FitResult(params=params, converged=not reason, iterations=int(steps), message=reason,
+                     loglik=log_likelihood(make_distribution(law, **params), x))
+
+
+def _reasons(*rules) -> np.ndarray:
+    """Each row's reason: the text of the first rule it breaks, or "".  A
+    rule is (the rows that break it, a format template, the arrays whose row
+    values the template quotes); a text is formatted for a broken row only."""
+    broken = np.array([rule[0] for rule in rules])
+    reason = np.full(broken.shape[1], "", dtype=object)
+    for i in broken.any(axis=0).nonzero()[0]:
+        template, *values = rules[broken[:, i].argmax()][1:]
+        reason[i] = template.format(*(v[i] for v in values))
+    return reason
+
+
 # --------------------------------------------------------------------------
 # Burr XII profile maximum likelihood
 # --------------------------------------------------------------------------
@@ -67,24 +92,8 @@ ROWS_MAXITER = 500  # Newton steps per row
 
 def burr_mle(s) -> FitResult:
     """Burr XII maximum likelihood via the profile in c: the one-row case of
-    burr_mle_rows, started at c = 1.  ``iterations`` counts its Newton steps.
-    Raises FitError when k = n / sum log(1 + x^c) is not finite at the end.
-    """
-    x = as_values(s)
-    if x.size < 2:
-        raise FitError("burr_mle needs at least 2 observations")
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
-        raise FitError("burr_mle needs positive, finite observations")
-    if np.all(x == x[0]):
-        raise FitError("degenerate sample: all observations equal")
-    (k_hat,), (c_hat,), (converged,), (steps,) = _burr_newton(x[None], 1.0)
-    if not math.isfinite(k_hat):
-        raise FitError(f"Burr k = n / sum log(1 + x^c) is not finite at c = {c_hat:.6g}")
-    msg = "" if converged else (f"no profile maximum found inside c in [{C_BRACKET[0]:g}, "
-                                f"{C_BRACKET[1]:g}] ({steps} Newton steps, c = {c_hat:.6g})")
-    ll = log_likelihood(make_distribution("burr_xii", k=k_hat, c=c_hat), x)
-    return FitResult(params={"k": float(k_hat), "c": float(c_hat)}, converged=bool(converged),
-                     loglik=ll, iterations=int(steps), message=msg)
+    burr_mle_rows, started at c = 1.  ``iterations`` counts its Newton steps."""
+    return _one_row(lambda X: burr_mle_rows(X, 1.0), "burr_mle", "burr_xii", ("k", "c"), s)
 
 
 def burr_mle_rows(X, c0: float):
@@ -95,24 +104,15 @@ def burr_mle_rows(X, c0: float):
     Newton step would leave it; a point where every x^c underflows counts as
     past the maximum.  A row is frozen once its step falls below ROWS_UTOL,
     so later iterations cannot move it off the root.  Returns arrays (k, c,
-    converged), k = n / sum log(1 + x^c); a row is not converged when it
-    ends within ROWS_EDGE_TOL of the bracket's end, is still moving after
-    ROWS_MAXITER steps, or has k not finite.  A row with a value not
-    positive or not finite, or a constant row (burr_mle raises FitError on
-    these), is not converged and has k = c = NaN.
+    reason, steps), k = n / sum log(1 + x^c).  A row is refused when a value
+    is not positive or not finite, when it is constant, or when k is not
+    finite; it is not converged when it ends within ROWS_EDGE_TOL of the
+    bracket's end or is still moving after ROWS_MAXITER steps.
     """
     X = np.asarray(X, dtype=float)
-    ok = np.all(np.isfinite(X) & (X > 0), axis=1)
-    ok[ok] = np.ptp(X[ok], axis=1) > 0
-    k, c = np.full(X.shape[0], math.nan), np.full(X.shape[0], math.nan)
-    k[ok], c[ok], ok[ok], _ = _burr_newton(X[ok], c0)
-    return k, c, ok
-
-
-def _burr_newton(X, c0: float):
-    """burr_mle_rows on rows it accepts, with each row's count of Newton
-    steps as a fourth array."""
-    L = np.log(X)
+    valid = np.all(np.isfinite(X) & (X > 0), axis=1)
+    fit = valid & (X.max(axis=1) > X.min(axis=1))
+    L = np.log(np.where(fit[:, None], X, 1.0))  # a refused row is carried, inactive
     rows, n = L.shape
     # z = cL has the sign of L for every c > 0, so each term's form is fixed:
     # with e = e^-|z| and q = 1/(1 + e), x^c/(1 + x^c) is q where L > 0 and
@@ -125,7 +125,7 @@ def _burr_newton(X, c0: float):
     lo_c, hi_c = (math.log(b) for b in C_BRACKET)
     lo, hi = np.full(rows, lo_c), np.full(rows, hi_c)  # the sign brackets
     u = np.clip(np.full(rows, math.log(c0)), lo_c, hi_c)
-    active = np.ones(rows, dtype=bool)
+    active = fit.copy()
     steps = np.zeros(rows, dtype=int)
     # g and dg are nan where t = 0: such a point fails g > 0, so it becomes the
     # upper end of the sign bracket, past the maximum, and is bisected away
@@ -159,9 +159,15 @@ def _burr_newton(X, c0: float):
                 break
     c = np.exp(u)
     with np.errstate(divide="ignore", over="ignore"):  # k is not finite where t underflows
-        k = n / log1p_exp(c[:, None] * L).sum(axis=1)
-    on_edge = np.minimum(u - lo_c, hi_c - u) <= ROWS_EDGE_TOL
-    return k, c, ~active & ~on_edge & np.isfinite(k), steps
+        k = np.where(fit, n / log1p_exp(c[:, None] * L).sum(axis=1), math.nan)
+    reason = _reasons(
+        (~valid, "burr_mle needs positive, finite observations"),
+        (~fit, "degenerate sample: all observations equal"),
+        (~np.isfinite(k), "Burr k = n / sum log(1 + x^c) is not finite at c = {:.6g}", c),
+        (active | (np.minimum(u - lo_c, hi_c - u) <= ROWS_EDGE_TOL), "no profile maximum found "
+         f"inside c in [{C_BRACKET[0]:g}, {C_BRACKET[1]:g}] ({{}} Newton steps, c = {{:.6g}})",
+         steps, c))
+    return *(np.where(np.isfinite(k), v, math.nan) for v in (k, c)), reason, steps
 
 
 # --------------------------------------------------------------------------
@@ -170,71 +176,59 @@ def _burr_newton(X, c0: float):
 
 def gamma_fit(s) -> FitResult:
     """Method of moments, the one-row case of gamma_fit_rows."""
-    x = as_values(s)
-    if x.size < 2:
-        raise FitError("gamma_fit needs at least 2 observations")
-    if np.any(x <= 0):
-        raise FitError("gamma_fit needs positive observations")
-    (k,), (lam,), (ok,) = gamma_fit_rows(x[None])
-    if not ok:
-        k, lam = _gamma_params(*_moments(x))  # _moments raises if the moments are at fault
-        raise FitError(f"the gamma moment fit overflows (k {k:.6g}, lam {lam:.6g})")
-    k, lam = float(k), float(lam)
-    ll = log_likelihood(make_distribution("gamma", k=k, lam=lam), x)
-    return FitResult(params={"k": k, "lam": lam}, converged=True, loglik=ll, iterations=0)
+    return _one_row(gamma_fit_rows, "gamma_fit", "gamma", ("k", "lam"), s)
 
 
 def gamma_fit_rows(X):
-    """Method of moments on every row of X: arrays (k, lam, ok) with k =
-    mean^2/var and lam = var/mean (divisor n).  lam is exactly scale
-    equivariant and k exactly scale invariant, which is what the gamma
-    characterization test requires of its estimators.  A row with a value
-    not positive, or whose k or lam is not finite (as one is where the
-    moments overflow or the variance is 0), is refused: not ok, k = lam =
-    NaN."""
+    """Method of moments on every row of X: arrays (k, lam, reason, steps)
+    with k = mean^2/var and lam = var/mean (divisor n), and no steps.  lam
+    is scale equivariant and k scale invariant, which is what the gamma
+    characterization test requires of its estimators; exactly so for a
+    power-of-2 scaling while mean^2 and the variance stay normal doubles
+    (data of magnitude about 1e-150 to 1e150).  A row is refused where a
+    value is not positive, by normal_fit_rows' rules, or where k or lam is
+    not finite."""
     X = np.asarray(X, dtype=float)
-    k, lam = _gamma_params(*moments_rows(X))
-    ok = np.all(X > 0, axis=1) & np.isfinite(k) & np.isfinite(lam)
-    return np.where(ok, k, math.nan), np.where(ok, lam, math.nan), ok
-
-
-def _gamma_params(mean, var):
-    """k = mean^2/var and lam = var/mean, not finite (with no warning) where they overflow."""
+    mean, var = moments_rows(X)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return mean * mean / var, var / mean
+        k, lam = mean * mean / var, var / mean
+    return _refused_nan(k, lam, reason=_reasons(
+        ((X <= 0).any(axis=1), "gamma_fit needs positive observations"),
+        *_moment_rules("gamma_fit", X, mean, var),
+        (~(np.isfinite(k) & np.isfinite(lam)), "the gamma moment fit overflows "
+                                                "(k {:.6g}, lam {:.6g})", k, lam)))
 
 
 def normal_fit(s) -> FitResult:
     """Sample mean and variance S^2 with divisor n (population form), the
     one-row case of normal_fit_rows."""
-    x = as_values(s)
-    if x.size < 2:
-        raise FitError("normal_fit needs at least 2 observations")
-    mean, var = _moments(x)
-    ll = log_likelihood(make_distribution("normal", mu=mean, sigma2=var), x)
-    return FitResult(params={"mu": mean, "sigma2": var}, converged=True, loglik=ll)
+    return _one_row(normal_fit_rows, "normal_fit", "normal", ("mu", "sigma2"), s)
 
 
 def normal_fit_rows(X):
-    """Row means and variances (divisor n): arrays (mu, sigma2, ok).  A row
-    whose moments overflow or whose variance is 0 is refused: not ok, mu =
-    sigma2 = NaN."""
+    """Row means and variances (divisor n): arrays (mu, sigma2, reason,
+    steps), with no steps.  A row is refused where a value is not finite,
+    where its moments overflow, or where its variance is 0: a constant row,
+    or one whose variance underflows."""
+    X = np.asarray(X, dtype=float)
     mean, var = moments_rows(X)
-    ok = np.isfinite(mean) & np.isfinite(var) & (var != 0.0)
-    return np.where(ok, mean, math.nan), np.where(ok, var, math.nan), ok
+    return _refused_nan(mean, var, reason=_reasons(*_moment_rules("normal_fit", X, mean, var)))
 
 
-def _moments(x):
-    """Mean and variance (divisor n) of one sample, for gamma_fit and
-    normal_fit, as the one-row case of moments_rows; FitError when either
-    overflows or the variance is 0."""
-    mean, var = (float(v[0]) for v in moments_rows(x[None]))
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise FitError(f"the sample mean or variance overflows (mean {mean:.6g}, "
-                       f"variance {var:.6g})")
-    if var == 0.0:
-        raise FitError("degenerate sample: zero variance")
-    return mean, var
+def _moment_rules(name: str, X, mean, var) -> list:
+    """normal_fit_rows' rules, which gamma_fit_rows keeps too."""
+    zero = var == 0.0
+    return [(~np.isfinite(X).all(axis=1), f"{name} needs finite observations"),
+            (~(np.isfinite(mean) & np.isfinite(var)),
+             "the sample mean or variance overflows (mean {:.6g}, variance {:.6g})", mean, var),
+            (zero & (X.max(axis=1) == X.min(axis=1)), "degenerate sample: zero variance"),
+            (zero, "the sample variance underflows (mean {:.6g}, variance 0)", mean)]
+
+
+def _refused_nan(*params, reason):
+    """A moment fit's return: its parameters, NaN where a row has a reason."""
+    fitted = reason == ""
+    return *(np.where(fitted, p, math.nan) for p in params), reason, np.zeros(reason.size, int)
 
 
 def moments_rows(X):

@@ -169,6 +169,14 @@ def test_gamma_and_normal_families():
     assert out.effective_B == 30
 
 
+def test_a_non_finite_observation_is_named_by_the_fit():
+    # not called an overflow of the mean or variance
+    for family in ("gamma", "normal"):
+        with pytest.raises(FitError, match=f"^{family}_fit needs finite observations$"):
+            bootstrap_test([1.0, 2.0, math.nan, 3.0], family, StatisticId("generic_L2", a=1.0),
+                           B=10, rng=RngStream(1))
+
+
 def test_evaluate_statistic_guards():
     x = burr_data(n=20, seed=1)
     fit = fit_family_retry("burr", x)

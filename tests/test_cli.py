@@ -206,6 +206,21 @@ def test_cmd_test_overflowing_moments_exit_2(tmp_path, capsys, family, low, high
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("family, low", [("normal", -2.0), ("gamma", 1.0)])
+def test_cmd_test_underflowing_variance_exit_2(tmp_path, capsys, family, low):
+    # the variance of a sample that is not constant underflows to 0: an
+    # input error naming the underflow, not a degenerate sample
+    x = np.random.default_rng(0).uniform(low, 2.0, 30) * 1e-165
+    path = tmp_path / "tiny.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    code = main(["test", "--data", str(path), "--family", family, "--stat", "L2",
+                 "--a", "1", "--B", "20", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the sample variance underflows (mean ")
+    assert err.endswith(", variance 0)\n")
+
+
 @pytest.mark.parametrize("a", ["inf", "1e300", "1e-120"])
 def test_cmd_test_weight_out_of_range_exit_2(burr_file, capsys, a):
     # a weight whose cube is not a positive finite number is an input error

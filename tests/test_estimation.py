@@ -265,8 +265,8 @@ def test_burr_mle_rows_matches_brent_oracle():
     left = 0
     for x in _fit_agreement_samples():
         ref = _brent_mle(x)
-        k, c, converged = burr_mle_rows(x[None], 1.0)
-        if not converged[0]:
+        k, c, reason, _ = burr_mle_rows(x[None], 1.0)
+        if reason[0]:
             # unconverged only where the maximizer lies past the widest bracket
             left += 1
             assert not 1e-3 * (1 + 1e-5) < ref.params["c"] < 1e3 * (1 - 1e-5)
@@ -404,11 +404,15 @@ def test_burr_mle_rows_rows_are_independent_of_the_batch():
     rng = np.random.default_rng(8)
     X = np.array([draw("burr_xii", 60, int(s), k=rng.uniform(0.5, 3), c=rng.uniform(0.5, 4))
                   for s in rng.integers(1 << 30, size=40)])
-    k, c, converged = burr_mle_rows(X, 1.5)
-    assert converged.all()
+    # a zero, a constant row and a row whose maximizer lies past 1e7
+    X[3, 5], X[17], X[29] = 0.0, 2.0, 1.0 + 1e-9 * np.arange(60.0)
+    k, c, reason, steps = burr_mle_rows(X, 1.5)
+    assert np.flatnonzero(reason != "").tolist() == [3, 17, 29]
+    assert reason[29].startswith("no profile maximum found") and steps[29] > 0
     for i in range(X.shape[0]):
-        ki, ci, conv_i = burr_mle_rows(X[i:i + 1], 1.5)
-        assert (ki[0], ci[0], conv_i[0]) == (k[i], c[i], converged[i])
+        one = [v[0] for v in burr_mle_rows(X[i:i + 1], 1.5)]
+        assert one[2:] == [reason[i], steps[i]]
+        np.testing.assert_array_equal(one[:2], [k[i], c[i]])
 
 
 @pytest.mark.parametrize("c_true, bracket, edge", [(3000.0, (1e-3, 1e3), 1e3),
@@ -420,12 +424,12 @@ def test_burr_mle_rows_edge_rows_left_unconverged(c_true, bracket, edge, monkeyp
     # on a narrowed bracket, rows on its edge are not converged
     with monkeypatch.context() as m:
         m.setattr(estimation, "C_BRACKET", bracket)
-        _, c, converged = burr_mle_rows(X, 1.0)
-    assert not converged.any()
+        _, c, reason, _ = burr_mle_rows(X, 1.0)
+    assert all(r.startswith("no profile maximum found inside c in [") for r in reason)
     assert np.allclose(c, edge, rtol=1e-6)
     # on the default bracket they converge where the Brent oracle does
-    _, c, converged = burr_mle_rows(X, 1.0)
-    assert converged.all()
+    _, c, reason, _ = burr_mle_rows(X, 1.0)
+    assert (reason == "").all()
     for x, c_row in zip(X, c):
         ref = _brent_mle(x)
         assert ref.converged and not bracket[0] < ref.params["c"] < bracket[1]
@@ -436,7 +440,9 @@ def _any_rows():
     """Rows a row fit must take: ordinary draws; a Burr maximizer past c =
     1e3 and a near-constant row whose maximizer lies past 1e7; a 0, a
     negative value, inf, -inf or nan; a constant row; moments that overflow
-    (mean, variance), and finite moments with a gamma shape that overflows."""
+    (mean, variance), and finite moments with a gamma shape that overflows;
+    a variance that underflows, on data of either sign (near 1e-165); a row
+    of inf; positive data near 1e-200, where the Burr k is not finite."""
     base = draw("burr_xii", 30, 41, k=1.0, c=2.0)
     rng = np.random.default_rng(9)
     bad = [np.where(base == base.max(), v, base)
@@ -444,7 +450,9 @@ def _any_rows():
     return np.array([base, draw("burr_xii", 30, 42, k=1.0, c=3000.0), 1.0 + 1e-9 * np.arange(30.0),
                      *bad, np.full(30, 2.0), rng.uniform(1, 2, 30) * 1e300,
                      rng.uniform(-2, 2, 30) * 1e200, rng.uniform(1, 1.01, 30) * 2e154,
-                     rng.uniform(-2, 2, 30)])
+                     rng.uniform(-2, 2, 30), rng.uniform(-2, 2, 30) * 1e-165,
+                     rng.uniform(1, 2, 30) * 1e-165, np.full(30, math.inf),
+                     rng.uniform(1e-202, 1e-200, 30)])
 
 
 @pytest.mark.parametrize("rows, scalar, fitted", [
@@ -453,25 +461,23 @@ def _any_rows():
     (normal_fit_rows, normal_fit, [0, 1, 2, 3, 4, 11, 12]),
 ], ids=["burr", "gamma", "normal"])
 def test_row_fits_refuse_exactly_the_rows_their_scalar_fit_does(rows, scalar, fitted):
-    # a row is refused where the scalar fit raises FitError, with NaN
-    # parameters, or does not converge; every other row has the scalar
-    # fit's parameters and those of its one-row fit, bit for bit; no
-    # RuntimeWarning is raised
+    # a row's reason is the scalar fit's FitError text, with NaN parameters,
+    # or its message ("" where it converged), with the scalar fit's
+    # parameters and steps, bit for bit; no RuntimeWarning is raised
     X = _any_rows()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        *params, ok = rows(X)
-        assert np.flatnonzero(ok).tolist() == fitted
+        *params, reason, steps = rows(X)
+        assert np.flatnonzero(reason == "").tolist() == fitted
         for i, x in enumerate(X):
             try:
                 fit = scalar(x)
-            except FitError:
-                assert not ok[i] and np.isnan([p[i] for p in params]).all()
+            except FitError as exc:
+                assert reason[i] == str(exc) and np.isnan([p[i] for p in params]).all()
                 continue
-            assert ok[i] == fit.converged
+            assert (reason[i], steps[i]) == (fit.message, fit.iterations)
+            assert fit.converged == (reason[i] == "")
             assert [p[i] for p in params] == list(fit.params.values())
-            *one, _ = rows(X[i:i + 1])
-            assert [p[0] for p in one] == list(fit.params.values())
 
 
 def test_moments_rows_bit_identical_to_fits():
@@ -485,13 +491,14 @@ def test_moments_rows_bit_identical_to_fits():
 
 
 def test_one_sample_moments_are_the_one_row_case_bit_for_bit():
-    # _moments reads moments_rows on one row; the row reduction gives the
+    # normal_fit reads moments_rows on one row; the row reduction gives the
     # bits of the one-dimensional mean and centred mean square
     rng = np.random.default_rng(22)
     for n in rng.integers(2, 4098, 1600):
         x = rng.gamma(rng.uniform(0.2, 5.0), rng.uniform(0.1, 10.0), n) - rng.uniform(0, 3)
         mean = float(np.mean(x))
-        assert estimation._moments(x) == (mean, float(np.mean((x - mean) ** 2)))
+        params = normal_fit(x).params
+        assert (params["mu"], params["sigma2"]) == (mean, float(np.mean((x - mean) ** 2)))
 
 
 def test_burr_mle_fits_a_maximizer_past_c_1e3():
@@ -633,6 +640,25 @@ def test_moment_fits_name_an_overflowing_mean_or_variance():
         normal_fit(rng.uniform(-2, 2, 30) * 1e200)
     with pytest.raises(FitError, match="overflows"):
         gamma_fit(rng.uniform(1, 2, 30) * 1e300)
+
+
+def test_moment_fits_name_a_non_finite_observation_and_an_underflowing_variance():
+    # a non-finite value is not called an overflow, and a variance that
+    # underflows is not called degenerate; a value <= 0 is named first
+    # under gamma, and a constant sample still reads degenerate
+    for fit, x in [(gamma_fit, [1.0, 2.0, math.inf]), (normal_fit, [1.0, math.nan, 2.0]),
+                   (normal_fit, [-math.inf, 1.0])]:
+        with pytest.raises(FitError, match=f"^{fit.__name__} needs finite observations$"):
+            fit(x)
+    with pytest.raises(FitError, match="^gamma_fit needs positive observations$"):
+        gamma_fit([1.0, -1.0, math.nan])
+    x = np.random.default_rng(1).uniform(-2, 2, 30) * 1e-165
+    for fit, data in [(normal_fit, x), (gamma_fit, np.abs(x))]:
+        with pytest.raises(FitError, match=r"^the sample variance underflows \(mean \S+, "
+                                           r"variance 0\)$"):
+            fit(data)
+        with pytest.raises(FitError, match="^degenerate sample: zero variance$"):
+            fit(np.full(30, 1e-165))
 
 
 def test_normal_standardization_exact():
